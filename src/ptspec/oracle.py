@@ -5,6 +5,15 @@ stencil and finds eigenvalues near analytic targets by shift-inverted inverse
 iteration on the complex tridiagonal matrix.  Tolerances come from the h^2
 error model of the stencil, not from any external reference values, and the
 reports say so.
+
+Inverse iteration stops on the backward error (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4), not on the change in the eigenvalue estimate: an
+iterate y (||y|| = 1) with Rayleigh quotient e is accepted once
+||H y - e y|| <= c * eps * ||H||, with c = RESIDUAL_FACTOR = 4096, eps the
+double-precision machine epsilon and ||H|| = max|diag| + 2 |offdiag| a bound
+on the operator norm.  ||H|| grows like 4/h^2, so the test follows the
+rounding floor of the grid instead of a fixed absolute constant that fine
+grids cannot reach.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .contour import ShiftedLine
 from .errors import LUBreakdown, NoConvergence, SingularPotentialOnGrid
@@ -23,6 +32,12 @@ from .spectra import Spectrum
 DEFAULT_SEED = 20080308
 
 TOL_SOURCE = "finite-difference error model (no external reference values)"
+
+#: c in the stopping rule ||H y - e y|| <= c * eps * ||H||.  The smallest
+#: residual an iterate reaches is ~0.3 eps ||H|| on fine grids but up to ~1600
+#: eps ||H|| for levels next to the contour continuum on coarse ones, so a
+#: smaller c turns such attainable solves into NoConvergence.
+RESIDUAL_FACTOR = 4096.0
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,10 @@ def free_particle_eigenvalue(grid: GridSpec, m: int = 1) -> float:
     return 2.0 * (1.0 - np.cos(m * np.pi * h / (2.0 * grid.L))) / h**2
 
 
-def _rayleigh(opr: TridiagonalOperator, x: np.ndarray) -> complex:
-    hx = opr.matvec(x)
+def _rayleigh(opr: TridiagonalOperator, x: np.ndarray, hx: np.ndarray | None = None) -> complex:
+    """Rayleigh quotient of x; pass hx = H x when the caller already has it."""
+    if hx is None:
+        hx = opr.matvec(x)
     d = x @ x  # unconjugated: exact for complex symmetric eigenvectors
     if abs(d) > 1e-8:
         return complex((x @ hx) / d)
@@ -97,43 +114,56 @@ def _rayleigh(opr: TridiagonalOperator, x: np.ndarray) -> complex:
     return complex((xc @ hx) / (xc @ x))
 
 
+def residual_floor(opr: TridiagonalOperator) -> float:
+    """Backward-error bound RESIDUAL_FACTOR * eps * ||H|| that stops the iteration."""
+    norm_h = float(np.max(np.abs(opr.diag))) + 2.0 * abs(opr.offdiag)
+    return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
+
+
 def shift_invert_eigen(
     opr: TridiagonalOperator,
     shift: complex,
     max_iter: int = 200,
-    tol: float = 1e-12,
     seed: int = DEFAULT_SEED,
 ) -> tuple[complex, int]:
     """Eigenvalue of the operator nearest the shift, plus iterations used.
 
-    Inverse iteration with banded (partial-pivoting) LU solves; the eigenvalue
-    estimate is a Rayleigh quotient refined on each iterate.  A singular
-    factorization retries with the shift perturbed by 1e-8 (1 + i).
+    Inverse iteration on one partial-pivoting LU factorization of H - shift
+    (LAPACK zgttrf, then zgttrs on every step); the eigenvalue estimate is the
+    Rayleigh quotient of each normalized iterate y.  The iteration stops at the
+    first step it >= 2 with ||H y - e y|| <= c * eps * ||H||, where
+    c = RESIDUAL_FACTOR = 4096 and ||H|| = max|diag| + 2 |offdiag| (see
+    residual_floor), and raises NoConvergence after max_iter steps.  A
+    singular factorization retries with the shift perturbed by 1e-8 (1 + i),
+    at most three attempts in all.
     """
     n = len(opr.diag)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
 
+    floor = residual_floor(opr)
     work_shift = complex(shift)
     for _attempt in range(3):
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = opr.offdiag
-        ab[1] = opr.diag - work_shift
-        ab[2, :-1] = opr.offdiag
-        try:
-            e_prev: complex | None = None
-            y = x
-            for it in range(1, max_iter + 1):
-                y = scipy.linalg.solve_banded((1, 1), ab, y, overwrite_b=False)
-                y = y / np.linalg.norm(y)
-                e = _rayleigh(opr, y)
-                if e_prev is not None and abs(e - e_prev) < tol:
-                    return e, it
-                e_prev = e
-            raise NoConvergence(f"no eigenvalue settled near shift {shift} in {max_iter} iterations")
-        except np.linalg.LinAlgError:
+        # zgttrf factors in place: the three bands become the first factor arrays
+        off = np.full(n - 1, opr.offdiag, dtype=complex)
+        *lu, info = zgttrf(
+            off, opr.diag - work_shift, off.copy(),
+            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+        )
+        if info > 0:
             work_shift += 1e-8 * (1.0 + 1.0j)
+            continue
+        y = x
+        for it in range(1, max_iter + 1):
+            y, _ = zgttrs(*lu, y, overwrite_b=True)
+            y /= np.linalg.norm(y)
+            hy = opr.matvec(y)
+            e = _rayleigh(opr, y, hy)
+            hy -= e * y  # the residual H y - e y, reusing the Rayleigh matvec
+            if it >= 2 and np.linalg.norm(hy) <= floor:
+                return e, it
+        raise NoConvergence(f"no eigenvalue settled near shift {shift} in {max_iter} iterations")
     raise LUBreakdown(f"tridiagonal factorization kept failing near shift {shift}")
 
 

@@ -83,6 +83,27 @@ def test_verify_fd_fails_at_unreachable_tolerance(capsys):
     assert doc["all_passed"] is False
 
 
+def test_verify_fd_fine_grid_passes(capsys):
+    argv = ["verify", *PT_ARGS, "--eps", "0.5", "--method", "fd"]
+    argv += ["--grid-n", "48000", "--grid-L", "12"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"]
+    assert len(doc["levels"]) == 4
+
+
+def test_verify_fd_level_by_the_continuum_stays_a_failed_check(monkeypatch, capsys):
+    # the E ~ 77.2 level sits next to the contour continuum, where the solver's
+    # residual stalls well above eps ||H||; the stopping rule must still let it
+    # settle, so the run ends as a failed check with every level reported
+    monkeypatch.setenv("PTSPEC_SEED", "1600859781")
+    argv = ["verify", "--model", "eckart", "--A", "4.2936", "--beta", "2.5817"]
+    argv += ["--method", "fd", "--grid-n", "1500", "--grid-L", "12"]
+    assert run(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [lv["passed"] for lv in doc["levels"]] == [True, True, True, False]
+
+
 def test_verify_epsilon_out_of_range(capsys):
     assert run(["verify", *PT_ARGS, "--eps", "2.0"]) == 2
     assert "error:" in capsys.readouterr().err

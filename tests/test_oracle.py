@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import ECKART_FIXTURE, PT_FIXTURE
 from ptspec.contour import ArchContour, ShiftedLine
@@ -21,6 +22,7 @@ from ptspec.oracle import (
     discretize,
     free_particle_eigenvalue,
     match_levels,
+    residual_floor,
     shift_invert_eigen,
 )
 from ptspec.models import PTParams
@@ -120,6 +122,20 @@ def test_singular_shift_retries_with_perturbation():
     assert iters == 2
 
 
+def test_stopping_rule_scales_with_the_operator():
+    # a power-of-two scaling is exact in floating point, so a stopping rule that
+    # scales with ||H|| must take the same steps and return the scaled eigenvalue
+    _, opr = _free_setup()
+    s = 2.0**20
+    big = TridiagonalOperator(diag=opr.diag * s, offdiag=opr.offdiag * s, grid=opr.grid)
+    target = (math.pi / 20.0) ** 2
+    e, iters = shift_invert_eigen(opr, target)
+    e_big, iters_big = shift_invert_eigen(big, target * s)
+    assert iters_big == iters
+    assert e_big == e * s
+    assert residual_floor(big) == residual_floor(opr) * s
+
+
 def test_rayleigh_quotient_isotropic_fallback():
     g = GridSpec(L=1.0, n=3)
     opr = TridiagonalOperator(diag=np.array([1.0 + 0j, 2.0 + 0j]), offdiag=0j, grid=g)
@@ -204,6 +220,40 @@ def test_report_serialization():
     }
 
 
+# ---- fine grids ----------------------------------------------------------------
+
+
+def _backward_error(opr, e, steps=2):
+    """||H z - e z|| for a unit z from inverse iteration at the shift e.
+
+    Banded solves from a fixed start vector, independent of the solver under
+    test: a small result means e is an eigenvalue of a nearby matrix.
+    """
+    n = len(opr.diag)
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = opr.offdiag
+    ab[1] = opr.diag - e
+    ab[2, :-1] = opr.offdiag
+    z = np.random.default_rng(DEFAULT_SEED).standard_normal(n) + 0j
+    for _ in range(steps):
+        z = scipy.linalg.solve_banded((1, 1), ab, z)
+        z /= np.linalg.norm(z)
+    return float(np.linalg.norm(opr.matvec(z) - e * z))
+
+
+@pytest.mark.parametrize("n", [24000, 48000])
+def test_fine_grid_fixtures_converge_in_few_steps(n):
+    grid = GridSpec(L=12.0, n=n)
+    for params, levels in ((PT_FIXTURE, pt_levels), (ECKART_FIXTURE, eckart_levels)):
+        opr = discretize(params, LINE, grid)
+        rep = match_levels(levels(params), opr, tol=1e-2)
+        assert rep.all_passed
+        floor = residual_floor(opr)
+        for c in rep.checks:
+            assert c.iterations <= 4
+            assert _backward_error(opr, c.energy_numeric) <= floor
+
+
 # ---- convergence order ------------------------------------------------------------
 
 
@@ -217,6 +267,18 @@ def test_error_scales_as_h_squared():
     lv_eck = eckart_levels(ECKART_FIXTURE).levels[0]
     slope = convergence_study(ECKART_FIXTURE, ShiftedLine(0.5, L=12.0), lv_eck, h_list)
     assert 1.7 < slope < 2.3
+
+
+def test_error_scales_as_h_squared_on_fine_grids():
+    # the Eckart level E = 3.75 sits next to the contour continuum and reads a
+    # slope near 1.84 on these grids, so only the negative-energy levels are held to 2
+    contour = ShiftedLine(0.5, L=12.0)
+    cases = [(PT_FIXTURE, lv) for lv in pt_levels(PT_FIXTURE).levels]
+    cases += [(ECKART_FIXTURE, lv) for lv in eckart_levels(ECKART_FIXTURE).levels if lv.energy < 0]
+    assert len(cases) == 6
+    for params, lv in cases:
+        slope = convergence_study(params, contour, lv, (0.004, 0.002, 0.001))
+        assert slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_free_particle_convergence_slope():
