@@ -6,7 +6,7 @@ exponential well on an arch-shaped path), the change of variables connecting
 them, and an independent finite-difference/residual verification stack.
 """
 
-from .contour import ArchContour, LiouvilleMap, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
+from .contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
 from .errors import PtspecError
 from .liouville import TransformInput, transform_potential, verify_hulthen_identity
 from .models import (
@@ -41,7 +41,7 @@ from .spectra import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from .wavefun import WaveSample, eckart_psi, hulthen_psi, pt_psi, residual_check
+from .wavefun import eckart_psi, hulthen_psi, pt_psi, residual_check
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "GridSpec",
     "HulthenParams",
     "Level",
-    "LiouvilleMap",
     "PTParams",
     "PtspecError",
     "ShiftedLine",
@@ -61,7 +60,6 @@ __all__ = [
     "TransformInput",
     "TridiagonalOperator",
     "VerificationReport",
-    "WaveSample",
     "arch_point",
     "complex_power_tracked",
     "convergence_study",

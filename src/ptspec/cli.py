@@ -10,23 +10,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import oracle
-from .contour import ArchContour, ShiftedLine, arch_point
+from .contour import ArchContour, ShiftedLine
 from .errors import PtspecError
 from .liouville import verify_hulthen_identity
-from .models import EckartParams, HulthenParams, PTParams, potential_fn
-from .spectra import (
-    eckart_levels,
-    family_key,
-    hulthen_levels,
-    pt_levels,
-    spectrum_to_csv,
-    spectrum_to_json,
-)
+from .models import MODELS, HulthenParams, potential_fn
+from .spectra import family_key, hulthen_levels, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import level_samples, residual_check
 
 RESIDUAL_H = 1e-3
@@ -70,44 +62,28 @@ def _resolve(args, name, default):
     return default if val is None else val
 
 
-def _model_from_args(args) -> object:
-    model = args.model
-    if model == "eckart":
-        if args.A is None or args.beta is None:
-            raise ValueError("eckart needs --A and --beta")
-        return EckartParams(A=float(args.A), beta=float(args.beta))
-    if model == "pt":
-        if args.alpha is None or args.beta is None:
-            raise ValueError("pt needs --alpha and --beta")
-        eps = float(_resolve(args, "eps", 0.5))
-        return PTParams(alpha=float(args.alpha), beta=float(args.beta), epsilon=eps)
-    if model == "hulthen":
-        if args.alpha is None or args.C is None:
-            raise ValueError("hulthen needs --alpha and --C")
-        return HulthenParams(alpha=float(args.alpha), C=float(args.C))
-    raise ValueError(f"unknown model {model!r}")
+def _kind(name):
+    kind = MODELS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown model {name!r}")
+    return kind
 
 
-def _spectrum_of(model) -> object:
-    if isinstance(model, EckartParams):
-        return eckart_levels(model)
-    if isinstance(model, PTParams):
-        return pt_levels(model)
-    return hulthen_levels(model)
-
-
-def _natural_contour(model, eps: float, L: float | None):
-    if isinstance(model, HulthenParams):
-        return ArchContour(epsilon=eps, L=10.0 if L is None else L)
-    return ShiftedLine(epsilon=eps, L=12.0 if L is None else L)
+def _model_from_args(args) -> tuple:
+    """The table row of ``--model`` and the parameter record built from the flags."""
+    kind = _kind(args.model)
+    a, b = (getattr(args, f) for f in kind.flags)
+    if a is None or b is None:
+        raise ValueError(f"{kind.name} needs --{kind.flags[0]} and --{kind.flags[1]}")
+    return kind, kind.build(float(a), float(b), float(_resolve(args, "eps", 0.5)))
 
 
 # ---- subcommands ------------------------------------------------------------
 
 
 def cmd_spectrum(args) -> int:
-    model = _model_from_args(args)
-    spectrum = _spectrum_of(model)
+    _, model = _model_from_args(args)
+    spectrum = spectrum_of(model)
     fmt = _resolve(args, "format", "json")
     text = spectrum_to_json(spectrum) + "\n" if fmt == "json" else spectrum_to_csv(spectrum)
     _write(text, args.out)
@@ -119,13 +95,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _model_from_args(args)
+    kind, model = _model_from_args(args)
     method = _resolve(args, "method", "fd")
     eps = float(_resolve(args, "eps", 0.5))
-    spectrum = _spectrum_of(model)
+    spectrum = spectrum_of(model)
 
     if method == "fd":
-        if isinstance(model, HulthenParams):
+        if kind.on_arch:
             raise ValueError("finite differences run on the shifted line; use --method residual")
         tol = float(_resolve(args, "tol", 1e-2))
         grid = oracle.GridSpec(
@@ -139,18 +115,13 @@ def cmd_verify(args) -> int:
 
     if method == "residual":
         tol = float(_resolve(args, "tol", 1e-6))
-        if isinstance(model, HulthenParams):
-            window = float(_resolve(args, "grid_L", 10.0))
-            contour = ArchContour(epsilon=eps, L=window)
-        else:
-            window = float(_resolve(args, "grid_L", 8.0))
-            contour = ShiftedLine(epsilon=eps, L=window)
+        window = float(_resolve(args, "grid_L", kind.residual_window))
+        contour = kind.contour(epsilon=eps, L=window)
         t = np.arange(-window, window + RESIDUAL_H / 2, RESIDUAL_H)
         v = potential_fn(model)
         rows = []
         for lv in spectrum.levels:
-            samples = level_samples(model, lv, contour, t)
-            res = residual_check(v, lv.energy, samples, contour)
+            res = residual_check(v, lv.energy, level_samples(model, lv, contour, t), contour)
             rows.append(
                 {
                     "N": lv.N,
@@ -187,19 +158,18 @@ def cmd_sample(args) -> int:
     n_samples = int(_resolve(args, "samples", 1001))
 
     if what == "contour":
-        use_arch = bool(getattr(args, "arch", False))
-        L = float(_resolve(args, "L", 10.0 if use_arch else 12.0))
-        contour = ArchContour(eps, L) if use_arch else ShiftedLine(eps, L)
+        shape = ArchContour if getattr(args, "arch", False) else ShiftedLine
+        L = float(_resolve(args, "L", shape.L))
+        contour = shape(eps, L)
         t = np.linspace(-L, L, n_samples)
         xi = contour.point(t)
         rows = [f"{_fmt(a)},{_fmt(x.real)},{_fmt(x.imag)}" for a, x in zip(t, xi)]
         _write(_csv_lines("t,ReXi,ImXi", rows), args.out)
         return 0
 
-    model = _model_from_args(args)
-    is_arch = isinstance(model, HulthenParams)
-    L = float(_resolve(args, "L", 10.0 if is_arch else 12.0))
-    contour = _natural_contour(model, eps, L)
+    kind, model = _model_from_args(args)
+    L = float(_resolve(args, "L", kind.contour.L))
+    contour = kind.contour(eps, L)
     t = np.linspace(-L, L, n_samples)
 
     if what == "potential":
@@ -211,31 +181,19 @@ def cmd_sample(args) -> int:
     if what == "psi":
         if args.N is None:
             raise ValueError("sample --what psi needs --N")
-        spectrum = _spectrum_of(model)
-        want = (
-            None if args.sigma is None else int(args.sigma),
-            None if args.tau is None else int(args.tau),
-            int(args.N),
-        )
-        level = None
-        for lv in spectrum.levels:
-            key = (lv.sigma, lv.tau, lv.N)
-            if isinstance(model, EckartParams):
-                match = lv.N == want[2]
-            elif isinstance(model, HulthenParams):
-                match = (lv.sigma, lv.N) == (want[0], want[2])
-            else:
-                match = key == want
-            if match:
-                level = lv
-                break
+        want = {
+            "sigma": None if args.sigma is None else int(args.sigma),
+            "tau": None if args.tau is None else int(args.tau),
+            "N": int(args.N),
+        }
+        level = spectrum_of(model).find(**{k: want[k] for k in kind.level_key})
         if level is None:
             raise ValueError(f"no such level: sigma={args.sigma} tau={args.tau} N={args.N}")
-        samples = level_samples(model, level, contour, t)
+        t, xi, psi = level_samples(model, level, contour, t)
         rows = [
-            f"{_fmt(s.t)},{_fmt(s.xi.real)},{_fmt(s.xi.imag)},"
-            f"{_fmt(s.psi.real)},{_fmt(s.psi.imag)},{_fmt(abs(s.psi))}"
-            for s in samples
+            f"{_fmt(a)},{_fmt(x.real)},{_fmt(x.imag)},"
+            f"{_fmt(p.real)},{_fmt(p.imag)},{_fmt(abs(p))}"
+            for a, x, p in zip(t, xi, psi)
         ]
         _write(_csv_lines("t,ReXi,ImXi,RePsi,ImPsi,AbsPsi", rows), args.out)
         return 0
@@ -257,45 +215,24 @@ def _parse_range(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    model_name = args.model
-    param_flags = {
-        "eckart": ("A", "beta"),
-        "pt": ("alpha", "beta"),
-        "hulthen": ("alpha", "C"),
-    }.get(model_name)
-    if param_flags is None:
-        raise ValueError(f"unknown model {model_name!r}")
-
-    swept = [f for f in param_flags if getattr(args, f) is not None and ":" in str(getattr(args, f))]
+    kind = _kind(args.model)
+    swept = [f for f in kind.flags if getattr(args, f) is not None and ":" in str(getattr(args, f))]
     if len(swept) != 1:
         raise ValueError("give exactly one parameter as start:stop:step")
     sweep_flag = swept[0]
     values = _parse_range(str(getattr(args, sweep_flag)))
     fixed = {}
-    for f in param_flags:
+    for f in kind.flags:
         if f != sweep_flag:
             if getattr(args, f) is None:
                 raise ValueError(f"sweep needs a fixed value for --{f}")
             fixed[f] = float(getattr(args, f))
     eps = float(_resolve(args, "eps", 0.5))
 
-    def one(value: float):
-        kw = dict(fixed)
-        kw[sweep_flag] = value
-        if model_name == "eckart":
-            model = EckartParams(A=kw["A"], beta=kw["beta"])
-        elif model_name == "pt":
-            model = PTParams(alpha=kw["alpha"], beta=kw["beta"], epsilon=eps)
-        else:
-            model = HulthenParams(alpha=kw["alpha"], C=kw["C"])
-        return _spectrum_of(model)
-
-    jobs = int(_resolve(args, "jobs", 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            spectra = list(pool.map(one, values))
-    else:
-        spectra = [one(v) for v in values]
+    spectra = []
+    for value in values:
+        kw = dict(fixed, **{sweep_flag: value})
+        spectra.append(spectrum_of(kind.build(*(kw[f] for f in kind.flags), eps)))
 
     rows = []
     for value, spectrum in zip(values, spectra):
@@ -399,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=str, default=None)
     sp.add_argument("--C", type=str, default=None)
     sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
     sp.set_defaults(fn=cmd_sweep)

@@ -106,14 +106,6 @@ def liouville_derivatives(xi):
     return r, r1, r2, r3
 
 
-@dataclass(frozen=True)
-class LiouvilleMap:
-    """Callable wrapper exposing the arch inverse map as derivative callbacks."""
-
-    def derivatives(self, xi):
-        return liouville_derivatives(xi)
-
-
 def _check_symmetric_grid(t: np.ndarray) -> None:
     if np.max(np.abs(t + t[::-1])) > 1e-12:
         raise AsymmetricGrid("grid must be symmetric about t = 0")

@@ -2,7 +2,9 @@
 
 Carries a potential W(r) at fixed energy -kappa^2 through an analytic map
 r(xi) and returns the transformed combination V(xi) - E, picking up the
-Schwarzian-like correction from the non-constant Jacobian.
+Schwarzian-like correction from the non-constant Jacobian.  The map is any
+callable xi -> (r, r', r'', r'''); for the arch it is
+``contour.liouville_derivatives``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contour import LiouvilleMap, arch_point
+from .contour import arch_point, liouville_derivatives
 from .errors import VanishingJacobian
 from .models import HulthenParams, PTParams, v_hulthen, v_pt
 from .spectra import Level, check_level
@@ -22,13 +24,13 @@ from .spectra import Level, check_level
 class TransformInput:
     """Source potential W(r), spectral parameter kappa^2, and the map.
 
-    ``map`` must expose derivatives(xi) -> (r, r', r'', r''') with analytic
-    derivative callbacks; finite differences are not accepted here.
+    ``map`` is a callable xi -> (r, r', r'', r''') with analytic
+    derivatives; finite differences are not accepted here.
     """
 
     W: Callable
     kappa_sq: float
-    map: object
+    map: Callable
 
 
 def transform_potential(inp: TransformInput, xi):
@@ -38,7 +40,7 @@ def transform_potential(inp: TransformInput, xi):
     is rescaled by 1/sqrt(r'), so it already includes the energy shift.
     """
     xi = np.asarray(xi, dtype=complex)
-    r, r1, r2, r3 = inp.map.derivatives(xi)
+    r, r1, r2, r3 = inp.map(xi)
     if np.any(np.abs(np.asarray(r1)) < 1e-12):
         raise VanishingJacobian("r'(xi) vanishes on the evaluation set")
     return r1**2 * (inp.W(r) + inp.kappa_sq) + 0.75 * (r2 / r1) ** 2 - 0.5 * (r3 / r1)
@@ -68,8 +70,7 @@ def verify_hulthen_identity(
 
     t = np.linspace(-t_max, t_max, n_samples)
     xi = arch_point(t, epsilon)
-    lio = LiouvilleMap()
-    r, _, _, _ = lio.derivatives(xi)
+    r, _, _, _ = liouville_derivatives(xi)
 
     q = np.exp(2j * xi)
     scale = np.maximum(1.0, np.abs(q))
@@ -80,8 +81,9 @@ def verify_hulthen_identity(
     if piece > 1e-9:
         raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
 
-    lhs = transform_potential(
-        TransformInput(W=lambda rr: v_pt(pt_params, rr), kappa_sq=kappa_sq, map=lio), xi
+    inp = TransformInput(
+        W=lambda rr: v_pt(pt_params, rr), kappa_sq=kappa_sq, map=liouville_derivatives
     )
+    lhs = transform_potential(inp, xi)
     rhs = v_hulthen(hp, xi) - kappa_sq
     return float(np.max(np.abs(lhs - rhs)))

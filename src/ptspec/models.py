@@ -1,4 +1,4 @@
-"""Model parameter records and complex potentials.
+"""Model parameter records, complex potentials and the model table.
 
 Three exactly solvable models, all in units hbar = 2m = 1:
 
@@ -8,24 +8,31 @@ Three exactly solvable models, all in units hbar = 2m = 1:
   sinh singularity regularized by the same complex shift;
 * ``hulthen`` -- exponential-screened well in the variable xi, evaluated on an
   arch-shaped contour in the xi plane.
+
+``MODELS`` holds one ``Model`` row per model with everything that differs
+between them, and ``model_kind`` is the one lookup from a parameter record to
+its row.  Every place that used to ask "which model is this?" goes through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint
+from .contour import ArchContour, ShiftedLine, _check_epsilon, _check_symmetric_grid
+from .errors import SingularPoint
 
 _SINGULAR_TOL = 1e-12
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < math.pi / 2):
-        raise EpsilonOutOfRange(f"epsilon={epsilon} not in (0, pi/2)")
+def _check_finite(record) -> None:
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name}={value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,9 @@ class EckartParams:
 
     A: float
     beta: float
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class PTParams:
     epsilon: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must both be positive")
         _check_epsilon(self.epsilon)
@@ -58,6 +69,7 @@ class HulthenParams:
     C: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -101,15 +113,63 @@ def v_hulthen(p: HulthenParams, xi):
     return p.A / d**2 + p.B / d
 
 
+@dataclass(frozen=True)
+class Model:
+    """One row of the model table.
+
+    ``flags`` are the two CLI parameters, in the order ``build(a, b, eps)``
+    takes them.  ``potential``, ``levels`` and ``psi`` name functions in
+    ``ptspec.models``, ``ptspec.spectra`` and ``ptspec.wavefun``, and each
+    of those modules looks its own column up in its globals when called.
+    Names rather than function objects keep this module free of imports
+    from the modules above it, and a function replaced at its module global
+    (as ``bench/tracing.py`` does) is the one that runs.  ``contour`` is the
+    natural contour: its default ``L`` is the ``sample`` window, and
+    ``residual_window`` the ``verify --method residual`` one.  ``level_key``
+    lists the Level fields that ``sample --what psi`` matches.
+    """
+
+    name: str
+    params: type
+    flags: tuple
+    build: Callable
+    potential: str
+    levels: str
+    psi: str
+    contour: type
+    residual_window: float
+    level_key: tuple
+
+    @property
+    def on_arch(self) -> bool:
+        return self.contour is ArchContour
+
+
+MODELS = {
+    m.name: m
+    for m in (
+        Model("eckart", EckartParams, ("A", "beta"), lambda a, b, eps: EckartParams(a, b),
+              "v_eckart", "eckart_levels", "eckart_psi", ShiftedLine, 8.0, ("N",)),
+        Model("pt", PTParams, ("alpha", "beta"), PTParams,
+              "v_pt", "pt_levels", "pt_psi", ShiftedLine, 8.0, ("sigma", "tau", "N")),
+        Model("hulthen", HulthenParams, ("alpha", "C"), lambda a, b, eps: HulthenParams(a, b),
+              "v_hulthen", "hulthen_levels", "hulthen_psi", ArchContour, 10.0, ("sigma", "N")),
+    )
+}
+
+
+def model_kind(model: ModelSpec) -> Model:
+    """The table row of a parameter record; TypeError for anything else."""
+    for kind in MODELS.values():
+        if isinstance(model, kind.params):
+            return kind
+    raise TypeError(f"not a model parameter record: {model!r}")
+
+
 def potential_fn(model: ModelSpec):
     """Potential of a model as a single-argument callable on contour points."""
-    if isinstance(model, EckartParams):
-        return lambda z: v_eckart(model, z)
-    if isinstance(model, PTParams):
-        return lambda z: v_pt(model, z)
-    if isinstance(model, HulthenParams):
-        return lambda z: v_hulthen(model, z)
-    raise TypeError(f"not a model parameter record: {model!r}")
+    v = globals()[model_kind(model).potential]
+    return lambda z: v(model, z)
 
 
 def pt_symmetry_check(model: ModelSpec, contour, t_grid) -> float:
@@ -118,8 +178,7 @@ def pt_symmetry_check(model: ModelSpec, contour, t_grid) -> float:
     Zero (to rounding) certifies PT symmetry of the potential on the path.
     """
     t = np.asarray(t_grid, dtype=float)
-    if np.max(np.abs(t + t[::-1])) > 1e-12:
-        raise AsymmetricGrid("grid must be symmetric about t = 0")
+    _check_symmetric_grid(t)
     v = potential_fn(model)
     return float(np.max(np.abs(v(contour.point(-t)) - np.conj(v(contour.point(t))))))
 

@@ -2,7 +2,8 @@
 
 Every level is emitted together with the intermediate parameters that the
 wavefunction builders need, so spectra and eigenfunctions can never drift
-apart.  Energies are exact formulas, not numerics.
+apart.  Energies are exact formulas, not numerics.  ``spectrum_of`` picks the
+enumerator of any parameter record through the model table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegenerateBeta, IndexOutOfRange, LevelMismatch, OutsideFamily
-from .models import EckartParams, HulthenParams, PTParams
+from .models import EckartParams, HulthenParams, PTParams, model_kind
 
 _FAMILY_ORDER = ((-1, -1), (-1, +1), (+1, -1), (+1, +1))
 
@@ -52,6 +53,12 @@ class Spectrum:
     levels: list
     family_counts: dict
     notes: list = field(default_factory=list)
+
+    def find(self, **key) -> Level | None:
+        """First level whose fields equal ``key`` (e.g. sigma=-1, N=2), or None."""
+        return next(
+            (lv for lv in self.levels if all(getattr(lv, k) == v for k, v in key.items())), None
+        )
 
     def energy_sorted(self) -> list:
         """Merged view, ascending in energy (binding order for reports)."""
@@ -245,27 +252,26 @@ def hulthen_levels(p: HulthenParams) -> Spectrum:
 
 # ---- shared helpers -------------------------------------------------------------
 
+def spectrum_of(model) -> Spectrum:
+    """Closed-form spectrum of any model parameter record."""
+    return globals()[model_kind(model).levels](model)
+
+
 def check_level(model, level: Level) -> None:
-    """Cheap guard that a Level record belongs to the given parameters."""
-    if isinstance(model, EckartParams):
-        if level.model != "eckart":
-            raise LevelMismatch(f"level tagged {level.model!r}, expected 'eckart'")
-        d = model.A - level.N - 1.0
-        if d <= 0:
-            raise LevelMismatch(f"N={level.N} outside the well for A={model.A}")
-        expect = -(d**2) + model.beta**2 / d**2
-    elif isinstance(model, PTParams):
-        if level.model != "pt":
-            raise LevelMismatch(f"level tagged {level.model!r}, expected 'pt'")
-        s = level.sigma * model.alpha + level.tau * model.beta
-        if not 2 * level.N + 1 < -s:
-            raise LevelMismatch(f"(sigma,tau,N)=({level.sigma},{level.tau},{level.N}) not in family")
-        expect = -((2 * level.N + 1 + s) ** 2)
-    elif isinstance(model, HulthenParams):
-        if level.model != "hulthen":
-            raise LevelMismatch(f"level tagged {level.model!r}, expected 'hulthen'")
-        expect = hulthen_level(model, level.sigma, level.N).energy
-    else:
-        raise TypeError(f"not a model parameter record: {model!r}")
-    if not np.isclose(level.energy, expect, rtol=1e-9, atol=1e-9):
-        raise LevelMismatch(f"energy {level.energy} does not match parameters (expect {expect})")
+    """Guard that a Level record is one of the given model's own levels.
+
+    The level is looked up in the model's enumeration by (sigma, tau, N) and
+    its energy compared with the enumerated one.
+    """
+    spectrum = spectrum_of(model)
+    if level.model != spectrum.model:
+        raise LevelMismatch(f"level tagged {level.model!r}, expected {spectrum.model!r}")
+    own = spectrum.find(sigma=level.sigma, tau=level.tau, N=level.N)
+    if own is None:
+        raise LevelMismatch(
+            f"(sigma,tau,N)=({level.sigma},{level.tau},{level.N}) is not a level of {model}"
+        )
+    if not np.isclose(level.energy, own.energy, rtol=1e-9, atol=1e-9):
+        raise LevelMismatch(
+            f"energy {level.energy} does not match parameters (expect {own.energy})"
+        )

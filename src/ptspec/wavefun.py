@@ -2,38 +2,40 @@
 
 Eigenfunctions are evaluated along ordered contour samples so that complex
 powers can be branch-tracked; all checks are normalization-free (ratios,
-scaled residuals), since overall constants are meaningless here.
+scaled residuals), since overall constants are meaningless here.  Samples
+travel as plain arrays: ``level_samples`` returns (t, xi, psi) and
+``residual_check`` takes them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contour import arch_point, liouville_derivatives
 from .errors import GridTooCoarse, LevelMismatch, SingularPoint
-from .models import EckartParams, HulthenParams, PTParams
+from .models import EckartParams, HulthenParams, PTParams, model_kind
 from .spectra import Level, check_level, pt_levels
 from .specfun import GaussParams, complex_power_tracked, gauss2f1_terminating
 
 
-@dataclass(frozen=True)
-class WaveSample:
-    """One contour sample: parameter t, contour point xi, value psi."""
+def _on_line(p, level: Level, r, cosh_too: bool = False):
+    """Shared preamble of the shifted-line eigenfunctions.
 
-    t: float
-    xi: complex
-    psi: complex
-
-
-def samples_from_arrays(t, xi, psi) -> list:
-    return [WaveSample(float(a), complex(b), complex(c)) for a, b, c in zip(t, xi, psi)]
-
-
-def _as_contour_array(r):
+    Checks the level against ``p``, turns the contour points into a 1-d
+    array and rejects points where sinh r (and, with ``cosh_too``, cosh r)
+    vanishes.  Returns (scalar, r, sinh r, cosh r); ``scalar`` says whether a
+    single point came in.
+    """
+    check_level(p, level)
     r = np.asarray(r, dtype=complex)
-    return r.ndim == 0, np.atleast_1d(r)
+    scalar = r.ndim == 0
+    r = np.atleast_1d(r)
+    sh = np.sinh(r)
+    ch = np.cosh(r)
+    if np.any(np.abs(sh) < 1e-12) or (cosh_too and np.any(np.abs(ch) < 1e-12)):
+        what = "sinh r or cosh r" if cosh_too else "sinh r"
+        raise SingularPoint(f"{what} vanishes on the evaluation set")
+    return scalar, r, sh, ch
 
 
 # ---- eckart ------------------------------------------------------------------
@@ -44,14 +46,10 @@ def eckart_psi(p: EckartParams, level: Level, r):
     ``r`` is a scalar or an ordered array of contour points; powers are
     branch-tracked along the order given.
     """
-    check_level(p, level)
-    scalar, r = _as_contour_array(r)
-    sh = np.sinh(r)
-    if np.any(np.abs(sh) < 1e-12):
-        raise SingularPoint("sinh r vanishes on the evaluation set")
+    scalar, r, sh, ch = _on_line(p, level, r)
     u = level.internal["u"]
     v = level.internal["v"]
-    z = 0.5 * (1.0 - np.cosh(r) / sh)
+    z = 0.5 * (1.0 - ch / sh)
     f = gauss2f1_terminating(
         GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
     )
@@ -66,14 +64,10 @@ def eckart_psi_second_branch(p: EckartParams, level: Level, r):
     sinh^(u-v) * exp((u+v) r) * z^(2u) * F(a, b; c; z) with the same Gauss
     parameters; it must reproduce eckart_psi up to one overall constant.
     """
-    check_level(p, level)
-    scalar, r = _as_contour_array(r)
-    sh = np.sinh(r)
-    if np.any(np.abs(sh) < 1e-12):
-        raise SingularPoint("sinh r vanishes on the evaluation set")
+    scalar, r, sh, ch = _on_line(p, level, r)
     u = level.internal["u"]
     v = level.internal["v"]
-    z = 0.5 * (1.0 - np.cosh(r) / sh)
+    z = 0.5 * (1.0 - ch / sh)
     f = gauss2f1_terminating(
         GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
     )
@@ -90,12 +84,7 @@ def eckart_psi_second_branch(p: EckartParams, level: Level, r):
 
 def pt_psi(p: PTParams, level: Level, r):
     """psi = sinh^(tau*beta + 1/2) * cosh^(sigma*alpha + 1/2) * F(a, b; c; -sinh^2 r)."""
-    check_level(p, level)
-    scalar, r = _as_contour_array(r)
-    sh = np.sinh(r)
-    ch = np.cosh(r)
-    if np.any(np.abs(sh) < 1e-12) or np.any(np.abs(ch) < 1e-12):
-        raise SingularPoint("sinh r or cosh r vanishes on the evaluation set")
+    scalar, r, sh, ch = _on_line(p, level, r, cosh_too=True)
     f = gauss2f1_terminating(
         GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], -(sh**2))
     )
@@ -113,12 +102,7 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
     Re-terminating the second series brings back the same Gauss parameters,
     so this reproduces pt_psi up to one overall constant.
     """
-    check_level(p, level)
-    scalar, r = _as_contour_array(r)
-    sh = np.sinh(r)
-    ch = np.cosh(r)
-    if np.any(np.abs(sh) < 1e-12) or np.any(np.abs(ch) < 1e-12):
-        raise SingularPoint("sinh r or cosh r vanishes on the evaluation set")
+    scalar, r, sh, ch = _on_line(p, level, r, cosh_too=True)
     tb = level.tau * p.beta
     f = gauss2f1_terminating(
         GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], -(sh**2))
@@ -150,11 +134,7 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float = 0.5):
 
     beta_eff = float(level.internal["beta_eff"].real)
     pt_params = PTParams(p.alpha, beta_eff, epsilon)
-    partner = None
-    for lv in pt_levels(pt_params).levels:
-        if (lv.sigma, lv.tau, lv.N) == (level.sigma, level.tau, level.N):
-            partner = lv
-            break
+    partner = pt_levels(pt_params).find(sigma=level.sigma, tau=level.tau, N=level.N)
     if partner is None:
         raise LevelMismatch(
             f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
@@ -169,18 +149,20 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float = 0.5):
 def residual_check(v_of_xi, energy, samples, contour) -> float:
     """Max scaled ODE residual |-psi'' + (V - E) psi| along a contour.
 
-    ``samples`` is a uniform-in-t sequence of WaveSample; derivatives in t are
-    taken with centered five-point stencils and converted to xi derivatives
-    through the contour's analytic dpoint/d2point.  The residual at each
-    interior point is scaled by the largest |psi| in the stencil window
-    (floored at 1e-30), so tails do not produce false alarms and the check is
+    ``samples`` is a triple of arrays (t, xi, psi) on a uniform increasing
+    t-grid, as ``level_samples`` returns it; derivatives in t are taken with
+    centered five-point stencils and converted to xi derivatives through the
+    contour's analytic dpoint/d2point.  The residual at each interior point
+    is scaled by the largest |psi| in the stencil window (floored at 1e-30),
+    so tails do not produce false alarms and the check is
     normalization-free.
     """
-    if len(samples) < 5:
+    t, xi, psi = samples
+    if len(t) < 5:
         raise GridTooCoarse("need at least 5 samples for the interior stencil")
-    t = np.array([s.t for s in samples], dtype=float)
-    xi = np.array([s.xi for s in samples], dtype=complex)
-    psi = np.array([s.psi for s in samples], dtype=complex)
+    t = np.asarray(t, dtype=float)
+    xi = np.asarray(xi, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
 
     dt = np.diff(t)
     h = dt[0]
@@ -204,16 +186,11 @@ def residual_check(v_of_xi, energy, samples, contour) -> float:
     return float(np.max(res / np.maximum(window, 1e-30)))
 
 
-def level_samples(model, level: Level, contour, t) -> list:
-    """Evaluate a level's eigenfunction on its natural contour as WaveSamples."""
+def level_samples(model, level: Level, contour, t) -> tuple:
+    """A level's eigenfunction on its natural contour as arrays (t, xi, psi)."""
+    kind = model_kind(model)
     t = np.asarray(t, dtype=float)
     xi = contour.point(t)
-    if isinstance(model, EckartParams):
-        psi = eckart_psi(model, level, xi)
-    elif isinstance(model, PTParams):
-        psi = pt_psi(model, level, xi)
-    elif isinstance(model, HulthenParams):
-        psi = hulthen_psi(model, level, t, contour.epsilon)
-    else:
-        raise TypeError(f"not a model parameter record: {model!r}")
-    return samples_from_arrays(t, xi, psi)
+    psi_fn = globals()[kind.psi]
+    psi = psi_fn(model, level, t, contour.epsilon) if kind.on_arch else psi_fn(model, level, xi)
+    return t, xi, psi

@@ -24,9 +24,8 @@ from helpers import (
     rising,
     uniform_grid,
 )
-from ptspec.contour import ArchContour, ShiftedLine, arch_point, pt_path_check
+from ptspec.contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
 from ptspec.liouville import TransformInput, transform_potential, verify_hulthen_identity
-from ptspec.contour import LiouvilleMap
 from ptspec.models import (
     EckartParams,
     HulthenParams,
@@ -165,7 +164,7 @@ def test_criterion_4_change_of_variables_identity():
     for lv in spec.levels:
         pt_params = PTParams(HULTHEN_FIXTURE.alpha, float(lv.internal["beta_eff"].real), 0.5)
         inp = TransformInput(
-            W=lambda r, q=pt_params: v_pt(q, r), kappa_sq=lv.energy, map=LiouvilleMap()
+            W=lambda r, q=pt_params: v_pt(q, r), kappa_sq=lv.energy, map=liouville_derivatives
         )
         fulls.append(transform_potential(inp, xi) + lv.energy)
     independence = max(

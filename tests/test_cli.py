@@ -53,6 +53,21 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert doc["family_counts"] == {"--": 3, "-+": 1, "+-": 0, "++": 0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "pt", "--alpha", "nan", "--beta", "1.7"],
+        ["--model", "hulthen", "--alpha", "1.5", "--C", "inf"],
+        ["--model", "eckart", "--A", "3.5", "--beta", "inf"],
+    ],
+)
+def test_spectrum_non_finite_parameters_are_bad_input(argv, capsys):
+    assert run(["spectrum", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not finite" in captured.err
+
+
 def test_spectrum_missing_parameters(capsys):
     assert run(["spectrum", "--model", "pt", "--alpha", "4.3"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -195,13 +210,19 @@ def test_sweep_pt_family_onset(capsys):
     assert onset == {"2.25", "2.5", "2.75", "3.0", "3.25", "3.5", "3.75"}
 
 
-def test_sweep_jobs_do_not_change_output(tmp_path):
+def test_sweep_runs_give_identical_bytes(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     base = ["sweep", "--model", "hulthen", "--alpha", "0.2:2.2:0.2", "--C", "-9"]
-    assert run([*base, "--jobs", "1", "--out", str(out1)]) == 0
-    assert run([*base, "--jobs", "2", "--out", str(out2)]) == 0
+    assert run([*base, "--out", str(out1)]) == 0
+    assert run([*base, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "hulthen", "--alpha", "0.2:2.2:0.2", "--C", "-9", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_sweep_range_validation(capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from ptspec.contour import (
     ArchContour,
-    LiouvilleMap,
     ShiftedLine,
     arch_point,
     liouville_derivatives,
@@ -174,7 +173,3 @@ def test_inverse_map_singular_points():
         with pytest.raises(SingularPoint):
             liouville_derivatives(xi)
 
-
-def test_liouville_map_wrapper():
-    xi = arch_point(np.array([0.3, 1.0]), 0.5)
-    assert np.allclose(LiouvilleMap().derivatives(xi)[1], liouville_derivatives(xi)[1])

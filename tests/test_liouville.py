@@ -9,61 +9,53 @@ import numpy as np
 import pytest
 
 from helpers import HULTHEN_FIXTURE
-from ptspec.contour import LiouvilleMap, arch_point
+from ptspec.contour import arch_point, liouville_derivatives
 from ptspec.errors import LevelMismatch, VanishingJacobian
 from ptspec.liouville import TransformInput, transform_potential, verify_hulthen_identity
 from ptspec.models import HulthenParams, PTParams, v_hulthen, v_pt
 from ptspec.spectra import hulthen_levels
 
 
-class _IdentityMap:
-    def derivatives(self, xi):
-        xi = np.asarray(xi, dtype=complex)
-        return xi, np.ones_like(xi), np.zeros_like(xi), np.zeros_like(xi)
+def _identity_map(xi):
+    xi = np.asarray(xi, dtype=complex)
+    return xi, np.ones_like(xi), np.zeros_like(xi), np.zeros_like(xi)
 
 
-class _AffineMap:
-    def derivatives(self, xi):
-        xi = np.asarray(xi, dtype=complex)
-        z = np.zeros_like(xi)
-        return 2.0 * xi + 1.0, np.full_like(xi, 2.0), z, z
+def _affine_map(xi):
+    xi = np.asarray(xi, dtype=complex)
+    z = np.zeros_like(xi)
+    return 2.0 * xi + 1.0, np.full_like(xi, 2.0), z, z
 
 
-class _FlatMap:
-    def derivatives(self, xi):
-        xi = np.asarray(xi, dtype=complex)
-        z = np.zeros_like(xi)
-        return xi, z, z, z
+def _flat_map(xi):
+    xi = np.asarray(xi, dtype=complex)
+    z = np.zeros_like(xi)
+    return xi, z, z, z
 
 
-class _ShiftedTarget:
+def _shifted_target(xi):
     """The true inverse map with its image displaced off the solution set."""
-
-    def __init__(self):
-        self._inner = LiouvilleMap()
-
-    def derivatives(self, xi):
-        r, r1, r2, r3 = self._inner.derivatives(xi)
-        return r + 0.2j, r1, r2, r3
+    r, r1, r2, r3 = liouville_derivatives(xi)
+    return r + 0.2j, r1, r2, r3
 
 
 def test_identity_map_transforms_trivially():
     xi = np.linspace(-2.0, 2.0, 41) + 0.3j
-    inp = TransformInput(W=lambda r: r**2, kappa_sq=2.0, map=_IdentityMap())
+    inp = TransformInput(W=lambda r: r**2, kappa_sq=2.0, map=_identity_map)
     got = transform_potential(inp, xi)
     assert np.array_equal(got, xi**2 + 2.0)
 
 
 def test_affine_map_rescales_by_squared_jacobian():
     xi = np.linspace(-2.0, 2.0, 41) + 0.3j
-    inp = TransformInput(W=np.cos, kappa_sq=1.5, map=_AffineMap())
+    inp = TransformInput(W=np.cos, kappa_sq=1.5, map=_affine_map)
     got = transform_potential(inp, xi)
     want = 4.0 * (np.cos(2.0 * xi + 1.0) + 1.5)
     assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_vanishing_jacobian_is_rejected():
-    inp = TransformInput(W=np.cos, kappa_sq=1.0, map=_FlatMap())
+    inp = TransformInput(W=np.cos, kappa_sq=1.0, map=_flat_map)
     with pytest.raises(VanishingJacobian):
         transform_potential(inp, np.array([0.5 + 0.2j]))
 
@@ -83,7 +75,7 @@ def test_transformed_potential_is_level_independent():
         beta_eff = float(lv.internal["beta_eff"].real)
         pt_params = PTParams(p.alpha, beta_eff, 0.5)
         inp = TransformInput(
-            W=lambda r, q=pt_params: v_pt(q, r), kappa_sq=lv.energy, map=LiouvilleMap()
+            W=lambda r, q=pt_params: v_pt(q, r), kappa_sq=lv.energy, map=liouville_derivatives
         )
         fulls.append(transform_potential(inp, xi) + lv.energy)
     for i in range(len(fulls)):
@@ -98,7 +90,7 @@ def test_apex_value_of_transformed_potential():
     inp = TransformInput(
         W=lambda r: v_pt(PTParams(p.alpha, beta_eff, 0.5), r),
         kappa_sq=lv.energy,
-        map=LiouvilleMap(),
+        map=liouville_derivatives,
     )
     xi0 = arch_point(0.0, 0.5)
     got = complex(np.asarray(transform_potential(inp, xi0)).reshape(()))
@@ -115,7 +107,7 @@ def test_displaced_map_breaks_the_identity():
     inp = TransformInput(
         W=lambda r: v_pt(PTParams(p.alpha, beta_eff, 0.5), r),
         kappa_sq=lv.energy,
-        map=_ShiftedTarget(),
+        map=_shifted_target,
     )
     lhs = transform_potential(inp, xi)
     rhs = v_hulthen(p, xi) - lv.energy

@@ -11,9 +11,11 @@ from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE
 from ptspec.contour import ArchContour, ShiftedLine, arch_point
 from ptspec.errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint
 from ptspec.models import (
+    MODELS,
     EckartParams,
     HulthenParams,
     PTParams,
+    model_kind,
     potential_fn,
     pt_symmetry_check,
     sinh_inverse_square_expansion,
@@ -45,6 +47,36 @@ def test_hulthen_params_validation_and_derived_couplings():
 
 def test_eckart_params_admit_any_real_strength():
     assert EckartParams(A=-2.0, beta=0.3).A == -2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: EckartParams(A=x, beta=1.0),
+        lambda x: EckartParams(A=3.5, beta=x),
+        lambda x: PTParams(alpha=x, beta=1.7, epsilon=0.5),
+        lambda x: PTParams(alpha=4.3, beta=x, epsilon=0.5),
+        lambda x: PTParams(alpha=4.3, beta=1.7, epsilon=x),
+        lambda x: HulthenParams(alpha=x, C=-9.0),
+        lambda x: HulthenParams(alpha=0.5, C=x),
+    ],
+)
+def test_params_reject_non_finite_values(make, bad):
+    with pytest.raises(ValueError, match="is not finite"):
+        make(bad)
+
+
+def test_model_table_rows():
+    fixtures = {"eckart": ECKART_FIXTURE, "pt": PT_FIXTURE, "hulthen": HULTHEN_FIXTURE}
+    for name, fixture in fixtures.items():
+        kind = model_kind(fixture)
+        assert kind is MODELS[name] and kind.name == name
+        assert kind.build(*(getattr(fixture, f) for f in kind.flags), 0.5) == fixture
+    windows = [(k.contour.L, k.residual_window) for k in MODELS.values()]
+    assert windows == [(12.0, 8.0), (12.0, 8.0), (10.0, 10.0)]
+    with pytest.raises(TypeError):
+        model_kind(object())
 
 
 # ---- potential values ------------------------------------------------------------

@@ -21,7 +21,6 @@ from ptspec.specfun import (
 )
 from ptspec.spectra import eckart_levels, hulthen_levels, pt_levels
 from ptspec.wavefun import (
-    WaveSample,
     eckart_psi,
     eckart_psi_second_branch,
     hulthen_psi,
@@ -29,7 +28,6 @@ from ptspec.wavefun import (
     pt_psi,
     pt_psi_second_branch,
     residual_check,
-    samples_from_arrays,
 )
 
 LINE = ShiftedLine(0.5)
@@ -193,7 +191,7 @@ def _harmonic_residual(h: float, noise: float = 0.0) -> float:
     if noise:
         rng = np.random.default_rng(20080308)
         psi = psi * (1.0 + noise * rng.standard_normal(len(t)))
-    return residual_check(lambda z: z**2, 1.0, samples_from_arrays(t, xi, psi), line)
+    return residual_check(lambda z: z**2, 1.0, (t, xi, psi), line)
 
 
 def test_residual_harness_on_oscillator_ground_state():
@@ -216,11 +214,11 @@ def test_residual_grid_validation():
     t4 = np.linspace(-1.0, 1.0, 4)
     xi4 = line.point(t4)
     with pytest.raises(GridTooCoarse):
-        residual_check(lambda z: z**2, 1.0, samples_from_arrays(t4, xi4, np.exp(-(xi4**2) / 2)), line)
+        residual_check(lambda z: z**2, 1.0, (t4, xi4, np.exp(-(xi4**2) / 2)), line)
     t = np.linspace(-1.0, 1.0, 21) ** 3
     xi = line.point(t)
     with pytest.raises(GridTooCoarse):
-        residual_check(lambda z: z**2, 1.0, samples_from_arrays(t, xi, np.exp(-(xi**2) / 2)), line)
+        residual_check(lambda z: z**2, 1.0, (t, xi, np.exp(-(xi**2) / 2)), line)
 
 
 # ---- hulthen assembly ---------------------------------------------------------------
@@ -279,17 +277,17 @@ def test_psi_scalar_evaluation():
 def test_level_samples_dispatch():
     t = np.linspace(-3.0, 3.0, 41)
     eck = eckart_levels(ECKART_FIXTURE).levels[0]
-    samples = level_samples(ECKART_FIXTURE, eck, LINE, t)
-    assert len(samples) == len(t)
-    assert isinstance(samples[0], WaveSample)
+    t_out, xi, psi = level_samples(ECKART_FIXTURE, eck, LINE, t)
+    assert len(t_out) == len(xi) == len(psi) == len(t)
+    assert np.array_equal(t_out, t) and xi.dtype == psi.dtype == complex
     direct = eckart_psi(ECKART_FIXTURE, eck, LINE.point(t))
-    assert samples[7].psi == complex(direct[7])
-    assert samples[7].xi == complex(LINE.point(t)[7])
+    assert psi[7] == complex(direct[7])
+    assert xi[7] == complex(LINE.point(t)[7])
 
     hul = hulthen_levels(HULTHEN_FIXTURE).levels[0]
-    arch_samples = level_samples(HULTHEN_FIXTURE, hul, ARCH, t)
+    _, _, arch_psi = level_samples(HULTHEN_FIXTURE, hul, ARCH, t)
     direct_h = hulthen_psi(HULTHEN_FIXTURE, hul, t, epsilon=0.5)
-    assert arch_samples[3].psi == complex(direct_h[3])
+    assert arch_psi[3] == complex(direct_h[3])
 
     with pytest.raises(TypeError):
         level_samples(object(), eck, LINE, t)
