@@ -229,13 +229,10 @@ def cmd_sweep(args) -> int:
             fixed[f] = float(getattr(args, f))
     eps = float(_resolve(args, "eps", 0.5))
 
-    spectra = []
+    rows = []
     for value in values:
         kw = dict(fixed, **{sweep_flag: value})
-        spectra.append(spectrum_of(kind.build(*(kw[f] for f in kind.flags), eps)))
-
-    rows = []
-    for value, spectrum in zip(values, spectra):
+        spectrum = spectrum_of(kind.build(*(kw[f] for f in kind.flags), eps))
         for lv in spectrum.levels:
             s = 0 if lv.sigma is None else lv.sigma
             tau = 0 if lv.tau is None else lv.tau
