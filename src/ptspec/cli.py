@@ -17,22 +17,18 @@ from . import oracle
 from .contour import ArchContour, ShiftedLine
 from .errors import PtspecError
 from .liouville import verify_hulthen_identity
-from .models import MODELS, HulthenParams, potential_fn
-from .spectra import family_key, hulthen_levels, spectrum_of, spectrum_to_csv, spectrum_to_json
+from .models import MODELS, potential_fn
+from .spectra import family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import level_samples, residual_check
 
 RESIDUAL_H = 1e-3
 
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+#: most values one ``sweep`` range may expand to
+MAX_SWEEP_VALUES = 1_000_000
 
 
 def _seed() -> int:
-    raw = os.environ.get("PTSPEC_SEED")
-    if raw is None:
-        return oracle.DEFAULT_SEED
-    return int(raw)
+    return int(os.environ.get("PTSPEC_SEED", oracle.DEFAULT_SEED))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -41,6 +37,19 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(header: str, columns, out: str | None) -> None:
+    """The header, then one row per sample, each number as its shortest round-trip
+    ``repr``; formatting a column at a time is faster than row by row."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    _write("\n".join([header, *map(",".join, zip(*cells))]) + "\n", out)
+
+
+def _report(doc: dict, passed: bool, out: str | None) -> int:
+    """Write a JSON report; exit 0 if its check passed, 1 if it failed."""
+    _write(json.dumps(doc, indent=2) + "\n", out)
+    return 0 if passed else 1
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -62,17 +71,13 @@ def _resolve(args, name, default):
     return default if val is None else val
 
 
-def _kind(name):
-    kind = MODELS.get(name)
+def _model_from_args(args, **override) -> tuple:
+    """The table row of ``--model`` and the parameter record built from the flags;
+    ``override`` replaces a flag's value (``sweep`` passes its points this way)."""
+    kind = MODELS.get(args.model)
     if kind is None:
-        raise ValueError(f"unknown model {name!r}")
-    return kind
-
-
-def _model_from_args(args) -> tuple:
-    """The table row of ``--model`` and the parameter record built from the flags."""
-    kind = _kind(args.model)
-    a, b = (getattr(args, f) for f in kind.flags)
+        raise ValueError(f"unknown model {args.model!r}")
+    a, b = (override.get(f, getattr(args, f)) for f in kind.flags)
     if a is None or b is None:
         raise ValueError(f"{kind.name} needs --{kind.flags[0]} and --{kind.flags[1]}")
     return kind, kind.build(float(a), float(b), float(_resolve(args, "eps", 0.5)))
@@ -107,13 +112,9 @@ def cmd_verify(args) -> int:
         grid = oracle.GridSpec(
             L=float(_resolve(args, "grid_L", 12.0)), n=int(_resolve(args, "grid_n", 1500))
         )
-        contour = ShiftedLine(epsilon=eps, L=grid.L)
-        opr = oracle.discretize(model, contour, grid)
-        report = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed())
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
-        return 0 if report.all_passed else 1
-
-    if method == "residual":
+        opr = oracle.discretize(model, ShiftedLine(epsilon=eps, L=grid.L), grid)
+        doc = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed()).to_dict()
+    elif method == "residual":
         tol = float(_resolve(args, "tol", 1e-6))
         window = float(_resolve(args, "grid_L", kind.residual_window))
         contour = kind.contour(epsilon=eps, L=window)
@@ -132,7 +133,7 @@ def cmd_verify(args) -> int:
                     "passed": bool(res < tol),
                 }
             )
-        out = {
+        doc = {
             "model": spectrum.model,
             "params": dict(spectrum.params),
             "method": "residual",
@@ -142,63 +143,43 @@ def cmd_verify(args) -> int:
             "levels": rows,
             "all_passed": all(r["passed"] for r in rows),
         }
-        _write(json.dumps(out, indent=2) + "\n", args.out)
-        return 0 if out["all_passed"] else 1
-
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _csv_lines(header: str, rows) -> str:
-    return "\n".join([header] + rows) + "\n"
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _report(doc, doc["all_passed"], args.out)
 
 
 def cmd_sample(args) -> int:
-    what = args.what
     eps = float(_resolve(args, "eps", 0.5))
     n_samples = int(_resolve(args, "samples", 1001))
 
-    if what == "contour":
-        shape = ArchContour if getattr(args, "arch", False) else ShiftedLine
-        L = float(_resolve(args, "L", shape.L))
-        contour = shape(eps, L)
-        t = np.linspace(-L, L, n_samples)
-        xi = contour.point(t)
-        rows = [f"{_fmt(a)},{_fmt(x.real)},{_fmt(x.imag)}" for a, x in zip(t, xi)]
-        _write(_csv_lines("t,ReXi,ImXi", rows), args.out)
-        return 0
-
-    kind, model = _model_from_args(args)
-    L = float(_resolve(args, "L", kind.contour.L))
-    contour = kind.contour(eps, L)
+    if args.what == "contour":
+        shape = ArchContour if args.arch else ShiftedLine
+    else:
+        kind, model = _model_from_args(args)
+        shape = kind.contour
+    L = float(_resolve(args, "L", shape.L))
+    contour = shape(eps, L)
     t = np.linspace(-L, L, n_samples)
 
-    if what == "potential":
+    if args.what == "contour":
+        xi = contour.point(t)
+        _write_csv("t,ReXi,ImXi", (t, xi.real, xi.imag), args.out)
+    elif args.what == "potential":
         vals = potential_fn(model)(contour.point(t))
-        rows = [f"{_fmt(a)},{_fmt(v.real)},{_fmt(v.imag)}" for a, v in zip(t, vals)]
-        _write(_csv_lines("t,ReV,ImV", rows), args.out)
-        return 0
-
-    if what == "psi":
+        _write_csv("t,ReV,ImV", (t, vals.real, vals.imag), args.out)
+    else:
         if args.N is None:
             raise ValueError("sample --what psi needs --N")
-        want = {
-            "sigma": None if args.sigma is None else int(args.sigma),
-            "tau": None if args.tau is None else int(args.tau),
-            "N": int(args.N),
-        }
+        want = {k: getattr(args, k) for k in ("sigma", "tau", "N")}
+        want = {k: None if v is None else int(v) for k, v in want.items()}
         level = spectrum_of(model).find(**{k: want[k] for k in kind.level_key})
         if level is None:
             raise ValueError(f"no such level: sigma={args.sigma} tau={args.tau} N={args.N}")
         t, xi, psi = level_samples(model, level, contour, t)
-        rows = [
-            f"{_fmt(a)},{_fmt(x.real)},{_fmt(x.imag)},"
-            f"{_fmt(p.real)},{_fmt(p.imag)},{_fmt(abs(p))}"
-            for a, x, p in zip(t, xi, psi)
-        ]
-        _write(_csv_lines("t,ReXi,ImXi,RePsi,ImPsi,AbsPsi", rows), args.out)
-        return 0
-
-    raise ValueError(f"unknown --what {what!r}")
+        # abs() per element: numpy's vectorised abs can differ in the last digit
+        columns = (t, xi.real, xi.imag, psi.real, psi.imag, [abs(p) for p in psi])
+        _write_csv("t,ReXi,ImXi,RePsi,ImPsi,AbsPsi", columns, args.out)
+    return 0
 
 
 def _parse_range(text: str) -> list[float]:
@@ -208,53 +189,39 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
         raise ValueError("range step must be positive")
-    count = int(np.floor((stop - start) / step + 1e-9))
+    count = np.floor((stop - start) / step + 1e-9)
     if count < 0:
         raise ValueError(f"empty range {text!r}")
-    return [start + k * step for k in range(count + 1)]
+    if not count < MAX_SWEEP_VALUES:
+        raise ValueError(f"range {text!r} must give at most {MAX_SWEEP_VALUES} values")
+    return [start + k * step for k in range(int(count) + 1)]
 
 
 def cmd_sweep(args) -> int:
-    kind = _kind(args.model)
+    kind = MODELS[args.model]
     swept = [f for f in kind.flags if getattr(args, f) is not None and ":" in str(getattr(args, f))]
     if len(swept) != 1:
         raise ValueError("give exactly one parameter as start:stop:step")
-    sweep_flag = swept[0]
-    values = _parse_range(str(getattr(args, sweep_flag)))
-    fixed = {}
-    for f in kind.flags:
-        if f != sweep_flag:
-            if getattr(args, f) is None:
-                raise ValueError(f"sweep needs a fixed value for --{f}")
-            fixed[f] = float(getattr(args, f))
-    eps = float(_resolve(args, "eps", 0.5))
-
+    flag = swept[0]
     rows = []
-    for value in values:
-        kw = dict(fixed, **{sweep_flag: value})
-        spectrum = spectrum_of(kind.build(*(kw[f] for f in kind.flags), eps))
+    for value in _parse_range(str(getattr(args, flag))):
+        spectrum = spectrum_of(_model_from_args(args, **{flag: value})[1])
         for lv in spectrum.levels:
-            s = 0 if lv.sigma is None else lv.sigma
-            tau = 0 if lv.tau is None else lv.tau
             count = spectrum.family_counts.get(family_key(lv.sigma, lv.tau), 0)
-            rows.append(f"{_fmt(value)},{s},{tau},{lv.N},{_fmt(lv.energy)},{count}")
-    _write(_csv_lines("value,sigma,tau,N,energy,family_count", rows), args.out)
+            rows.append((value, lv.sigma or 0, lv.tau or 0, lv.N, lv.energy, count))
+    _write_csv("value,sigma,tau,N,energy,family_count", zip(*rows), args.out)
     return 0
 
 
 def cmd_liouville_check(args) -> int:
-    if args.alpha is None or args.C is None:
-        raise ValueError("liouville-check needs --alpha and --C")
-    alpha = float(args.alpha)
-    c_val = float(args.C)
+    _, model = _model_from_args(args)
     eps = float(_resolve(args, "eps", 0.5))
     n_samples = int(_resolve(args, "n_samples", 100))
     tol = float(_resolve(args, "tol", 1e-9))
 
-    spectrum = hulthen_levels(HulthenParams(alpha, c_val))
     per_level = []
-    for lv in spectrum.levels:
-        dev = verify_hulthen_identity(alpha, c_val, lv, n_samples=n_samples, epsilon=eps)
+    for lv in spectrum_of(model).levels:
+        dev = verify_hulthen_identity(model.alpha, model.C, lv, n_samples=n_samples, epsilon=eps)
         per_level.append(
             {
                 "sigma": lv.sigma,
@@ -266,9 +233,9 @@ def cmd_liouville_check(args) -> int:
             }
         )
     max_dev = max((p["max_deviation"] for p in per_level), default=0.0)
-    out = {
-        "alpha": alpha,
-        "C": c_val,
+    doc = {
+        "alpha": model.alpha,
+        "C": model.C,
         "epsilon": eps,
         "n_samples": n_samples,
         "tol": tol,
@@ -276,45 +243,45 @@ def cmd_liouville_check(args) -> int:
         "max_deviation": max_dev,
         "passed": bool(max_dev < tol),
     }
-    _write(json.dumps(out, indent=2) + "\n", args.out)
-    return 0 if out["passed"] else 1
+    return _report(doc, doc["passed"], args.out)
 
 
 # ---- parser ----------------------------------------------------------------
 
+_FLAG_HELP = {"A": "eckart well strength", "C": "hulthen combination A + B"}
 
-def _add_model_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--model", choices=("eckart", "pt", "hulthen"))
-    sp.add_argument("--A", type=float, default=None, help="eckart well strength")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--C", type=float, default=None, help="hulthen combination A + B")
+
+def _subcommand(sub, name: str, fn, help: str, flag_type=float, model: str | None = None):
+    """A subparser with ``--model``, the parameter flags and ``--eps``.  ``model`` fixes
+    the model and keeps its own flags; ``flag_type=str`` (``sweep``) makes ``--model``
+    required and the flags ``start:stop:step`` ranges."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(fn=fn)
+    if model:
+        sp.set_defaults(model=model)
+    else:
+        sp.add_argument("--model", choices=tuple(MODELS), required=flag_type is str)
+    for flag in MODELS[model].flags if model else ("A", "alpha", "beta", "C"):
+        sp.add_argument(f"--{flag}", type=flag_type, default=None, help=_FLAG_HELP.get(flag))
     sp.add_argument("--eps", type=float, default=None, help="contour shift in (0, pi/2)")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ptspec", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="closed-form bound-state spectrum")
-    _add_model_options(sp)
+    sp = _subcommand(sub, "spectrum", cmd_spectrum, "closed-form bound-state spectrum")
     sp.add_argument("--format", choices=("json", "csv"), default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(fn=cmd_spectrum)
 
-    sp = sub.add_parser("verify", help="independent numerical check of the spectrum")
-    _add_model_options(sp)
+    sp = _subcommand(sub, "verify", cmd_verify, "independent numerical check of the spectrum")
     sp.add_argument("--method", choices=("fd", "residual"), default=None)
     sp.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     sp.add_argument("--grid-L", type=float, default=None, dest="grid_L")
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("sample", help="CSV samples of contours, potentials, eigenfunctions")
-    _add_model_options(sp)
+    sp = _subcommand(sub, "sample", cmd_sample,
+                     "CSV samples of contours, potentials, eigenfunctions")
     sp.add_argument("--what", choices=("potential", "psi", "contour"), required=True)
     sp.add_argument("--arch", action="store_true", help="sample the arch contour")
     sp.add_argument("--N", type=int, default=None)
@@ -322,37 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=int, choices=(-1, 1), default=None)
     sp.add_argument("--L", type=float, default=None, help="half-width of the t window")
     sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(fn=cmd_sample)
 
-    sp = sub.add_parser("sweep", help="spectrum across a parameter range")
-    sp.add_argument("--model", choices=("eckart", "pt", "hulthen"), required=True)
-    sp.add_argument("--A", type=str, default=None)
-    sp.add_argument("--alpha", type=str, default=None)
-    sp.add_argument("--beta", type=str, default=None)
-    sp.add_argument("--C", type=str, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(fn=cmd_sweep)
+    _subcommand(sub, "sweep", cmd_sweep, "spectrum across a parameter range", flag_type=str)
 
-    sp = sub.add_parser("liouville-check", help="transform identity across all levels")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--C", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
+    sp = _subcommand(sub, "liouville-check", cmd_liouville_check,
+                     "transform identity across all levels", model="hulthen")
     sp.add_argument("--n-samples", type=int, default=None, dest="n_samples")
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(fn=cmd_liouville_check)
 
+    for sp in sub.choices.values():  # added last, so they stay last in --help
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--config", default=None)
     return ap
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _merge_config(args)
         return args.fn(args)
@@ -361,9 +313,7 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
+main = run
 
 if __name__ == "__main__":
     sys.exit(main())

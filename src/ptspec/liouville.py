@@ -52,15 +52,15 @@ def verify_hulthen_identity(
     level: Level,
     n_samples: int = 100,
     epsilon: float = 0.5,
-    t_max: float = 10.0,
 ) -> float:
     """Max deviation of the transformed sinh/cosh well from the screened well.
 
     For a level with derived coupling beta_eff and momentum kappa, transports
     W(r) = v_pt(alpha, beta_eff) through the arch map and compares with
-    v_hulthen(alpha, C) - kappa^2 on n_samples arch points.  The algebraic
-    building blocks sinh^2 r = -e^{2i xi} and cosh^2 r = 1 - e^{2i xi} are
-    checked along the way.
+    v_hulthen(alpha, C) - kappa^2 on n_samples arch points, evenly spaced in
+    the arch parameter t over [-10, 10].  The algebraic building blocks
+    sinh^2 r = -e^{2i xi} and cosh^2 r = 1 - e^{2i xi} are checked along the
+    way.
     """
     hp = HulthenParams(alpha, C)
     check_level(hp, level)
@@ -68,7 +68,7 @@ def verify_hulthen_identity(
     pt_params = PTParams(alpha, beta_eff, epsilon)
     kappa_sq = level.energy
 
-    t = np.linspace(-t_max, t_max, n_samples)
+    t = np.linspace(-10.0, 10.0, n_samples)
     xi = arch_point(t, epsilon)
     r, _, _, _ = liouville_derivatives(xi)
 

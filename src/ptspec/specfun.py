@@ -38,12 +38,11 @@ def _as_nonneg_termination_index(w: complex) -> int | None:
     return None
 
 
-def gauss2f1_terminating(p: GaussParams, n_terms: int | None = None) -> complex | np.ndarray:
+def gauss2f1_terminating(p: GaussParams) -> complex | np.ndarray:
     """Sum a terminating Gauss series by running Pochhammer recurrences.
 
     One of a, b must equal -N for an integer N >= 0 (within INTEGER_TOL);
-    the sum then has N + 1 terms.  ``n_terms`` overrides the number of
-    summed terms (extra terms beyond the termination index vanish).
+    the sum then has exactly N + 1 terms, the smaller N when both qualify.
 
     Raises NonTerminating if neither upper parameter is a non-positive
     integer and PoleInC if c is a non-positive integer hit before the
@@ -63,16 +62,13 @@ def gauss2f1_terminating(p: GaussParams, n_terms: int | None = None) -> complex 
     if m is not None and m < n_stop:
         raise PoleInC(f"c={p.c} poles the series before termination at N={n_stop}")
 
-    if n_terms is None:
-        n_terms = n_stop + 1
-
     z = np.asarray(p.z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
 
     term = np.ones_like(z)
     total = term.copy()
-    for k in range(1, n_terms):
+    for k in range(1, n_stop + 1):
         term = term * ((p.a + k - 1) * (p.b + k - 1) / ((p.c + k - 1) * k)) * z
         total = total + term
     return complex(total[0]) if scalar else total
@@ -113,10 +109,13 @@ def complex_power_tracked(base_samples, exponent: complex) -> complex | np.ndarr
 
     Raises ZeroBase on a vanishing base and PhaseJump when consecutive
     samples differ in argument by pi or more (grid too coarse to track).
+    An empty sequence gives an empty array.
     """
     base = np.asarray(base_samples, dtype=complex)
     scalar = base.ndim == 0
     base = np.atleast_1d(base)
+    if not base.size:
+        return base
     if np.any(base == 0):
         raise ZeroBase("zero base in branch-tracked power")
 

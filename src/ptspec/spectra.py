@@ -20,6 +20,15 @@ from .models import EckartParams, HulthenParams, PTParams, model_kind
 
 _FAMILY_ORDER = ((-1, -1), (-1, +1), (+1, -1), (+1, +1))
 
+#: most levels (Hulthen: candidate indices) one family may enumerate
+MAX_LEVELS = 10_000
+
+
+def _check_count(bound: str, count: float) -> None:
+    """ValueError when a closed-form bound on the loop length exceeds MAX_LEVELS."""
+    if count > MAX_LEVELS:
+        raise ValueError(f"{bound} = {count:.6g} exceeds MAX_LEVELS = {MAX_LEVELS}")
+
 
 def family_key(sigma: int | None, tau: int | None) -> str:
     """Compact family tag: sign pair like '--' or '+-'; 'all' when untagged."""
@@ -109,6 +118,7 @@ def eckart_levels(p: EckartParams) -> Spectrum:
     both roots are taken with positive real part so the state decays on
     both ends of the shifted line.
     """
+    _check_count("eckart level bound A - 1", p.A - 1.0)
     levels = []
     n = 0
     while n < p.A - 1.0:
@@ -149,6 +159,7 @@ def pt_levels(p: PTParams) -> Spectrum:
     E = -(2N + 1 + sigma*alpha + tau*beta)^2.  The (+,+) family is empty for
     positive couplings; (-,-) fills first as alpha + beta grows.
     """
+    _check_count("pt level bound (alpha + beta - 1)/2", (p.alpha + p.beta - 1.0) / 2)
     levels = []
     counts = {}
     for sigma, tau in _FAMILY_ORDER:
@@ -228,6 +239,7 @@ def hulthen_levels(p: HulthenParams) -> Spectrum:
     counts: dict[str, int] = {}
     notes: list[str] = []
     n_bound = int(math.ceil(math.sqrt(abs(p.C)) + p.alpha + 1.0))
+    _check_count("hulthen candidate bound", n_bound)
     for sigma in (-1, +1):
         for n in range(n_bound + 1):
             try:

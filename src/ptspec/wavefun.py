@@ -118,7 +118,7 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
 
 # ---- hulthen ---------------------------------------------------------------------
 
-def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float = 0.5):
+def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
     """Eigenfunction on the arch, via the change of variables.
 
     Psi(xi(t)) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well

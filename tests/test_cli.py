@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ptspec.cli import run
+from ptspec import cli
+from ptspec.cli import build_parser, run
 
 ECKART_ARGS = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
 PT_ARGS = ["--model", "pt", "--alpha", "4.3", "--beta", "1.7"]
@@ -68,6 +70,25 @@ def test_spectrum_non_finite_parameters_are_bad_input(argv, capsys):
     assert "is not finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "hulthen", "--alpha", "0.5", "--C", "1e300"],
+        ["spectrum", "--model", "eckart", "--A", "1e9", "--beta", "1.0"],
+        ["spectrum", "--model", "pt", "--alpha", "1e9", "--beta", "1.7"],
+        ["sweep", "--model", "pt", "--alpha", "0.5:1e9:1e-9", "--beta", "1.7"],
+        ["verify", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--method", "residual"],
+        ["sample", "--what", "psi", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--N", "0"],
+        ["liouville-check", "--alpha", "0.5", "--C", "1e300"],
+    ],
+)
+def test_unbounded_enumerations_are_bad_input(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_spectrum_missing_parameters(capsys):
     assert run(["spectrum", "--model", "pt", "--alpha", "4.3"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -124,6 +145,14 @@ def test_verify_epsilon_out_of_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model_args", [ECKART_ARGS, PT_ARGS, HULTHEN_ARGS])
+def test_verify_residual_on_an_empty_window_is_bad_input(model_args, capsys):
+    assert run(["verify", *model_args, "--method", "residual", "--grid-L", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_verify_residual_method(capsys):
     assert run(["verify", *HULTHEN_ARGS, "--method", "residual"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -176,6 +205,19 @@ def test_sample_psi_decays(tmp_path, capsys):
     assert lines[0] == "t,ReXi,ImXi,RePsi,ImPsi,AbsPsi"
     amps = [float(row.split(",")[5]) for row in lines[1:]]
     assert amps[0] < 0.05 * max(amps) and amps[-1] < 0.05 * max(amps)
+
+
+@pytest.mark.parametrize(
+    "level_args",
+    [
+        [*ECKART_ARGS, "--N", "0"],
+        [*PT_ARGS, "--sigma", "-1", "--tau", "-1", "--N", "2"],
+        [*HULTHEN_ARGS, "--sigma", "-1", "--N", "1"],
+    ],
+)
+def test_sample_psi_without_samples_prints_the_header(level_args, capsys):
+    assert run(["sample", "--what", "psi", *level_args, "--samples", "0"]) == 0
+    assert capsys.readouterr().out == "t,ReXi,ImXi,RePsi,ImPsi,AbsPsi\n"
 
 
 def test_sample_psi_level_selection_errors(capsys):
@@ -233,6 +275,18 @@ def test_sweep_range_validation(capsys):
     capsys.readouterr()
 
 
+def test_sweep_range_size_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SWEEP_VALUES", 10)
+    assert run(["sweep", "--model", "eckart", "--A", "2:11:1", "--beta", "1.0"]) == 0
+    assert {row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]} == {
+        f"{a}.0" for a in range(2, 12)
+    }
+    assert run(["sweep", "--model", "eckart", "--A", "2:12:1", "--beta", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 10 values" in captured.err
+
+
 # ---- liouville-check ----------------------------------------------------------
 
 
@@ -269,6 +323,49 @@ def test_explicit_flags_beat_config(tmp_path, capsys):
     assert len(doc["levels"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, config, flags",
+    [
+        (
+            ["verify"],
+            {"model": "pt", "alpha": 4.3, "beta": "1.7", "grid-n": 300, "grid-L": 12, "tol": "10"},
+            [*PT_ARGS, "--grid-n", "300", "--grid-L", "12", "--tol", "10"],
+        ),
+        (
+            ["verify"],
+            {"model": "eckart", "A": "3.5", "beta": 1, "method": "residual", "grid-L": 6},
+            [*ECKART_ARGS, "--method", "residual", "--grid-L", "6"],
+        ),
+        (
+            ["sample", "--what", "psi"],
+            {"model": "pt", "alpha": "4.3", "beta": 1.7, "eps": 0.5, "N": 2, "sigma": -1,
+             "tau": "-1", "samples": "51", "L": 8},
+            [*PT_ARGS, "--eps", "0.5", "--N", "2", "--sigma", "-1", "--tau", "-1",
+             "--samples", "51", "--L", "8"],
+        ),
+        (
+            ["sweep", "--model", "pt"],
+            {"alpha": 1, "beta": "0.25:3.75:0.25", "eps": "0.4"},
+            ["--alpha", "1", "--beta", "0.25:3.75:0.25", "--eps", "0.4"],
+        ),
+        (
+            ["liouville-check"],
+            {"alpha": 0.5, "C": "-9", "eps": "0.5", "n-samples": "50", "tol": 1e-9},
+            ["--alpha", "0.5", "--C", "-9", "--eps", "0.5", "--n-samples", "50", "--tol", "1e-9"],
+        ),
+    ],
+    ids=["verify-fd", "verify-residual", "sample-psi", "sweep", "liouville-check"],
+)
+def test_config_gives_the_bytes_of_the_same_flags(argv, config, flags, tmp_path, capsys):
+    # config values arrive as raw JSON numbers and strings and are coerced
+    assert run([*argv, *flags]) == 0
+    want = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -298,3 +395,77 @@ def test_unknown_flag_is_a_parser_error():
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--bogus"])
     assert exc.value.code == 2
+
+
+# ---- option surface -----------------------------------------------------------
+
+# Every option of every subcommand: (flag, dest, type, required, choices, default).
+MODEL = ("--model", "model", None, False, ("eckart", "pt", "hulthen"), None)
+EPS = ("--eps", "eps", "float", False, None, None)
+OUT = ("--out", "out", None, False, None, None)
+CONFIG = ("--config", "config", None, False, None, None)
+MODEL_PARAMS = [
+    ("--A", "A", "float", False, None, None),
+    ("--C", "C", "float", False, None, None),
+    ("--alpha", "alpha", "float", False, None, None),
+    ("--beta", "beta", "float", False, None, None),
+]
+OPTION_SURFACE = {
+    "spectrum": sorted(
+        [MODEL, *MODEL_PARAMS, EPS, OUT, CONFIG, ("--format", "format", None, False, ("json", "csv"), None)]
+    ),
+    "verify": sorted(
+        [
+            MODEL, *MODEL_PARAMS, EPS, OUT, CONFIG,
+            ("--method", "method", None, False, ("fd", "residual"), None),
+            ("--grid-n", "grid_n", "int", False, None, None),
+            ("--grid-L", "grid_L", "float", False, None, None),
+            ("--tol", "tol", "float", False, None, None),
+        ]
+    ),
+    "sample": sorted(
+        [
+            MODEL, *MODEL_PARAMS, EPS, OUT, CONFIG,
+            ("--what", "what", None, True, ("potential", "psi", "contour"), None),
+            ("--arch", "arch", None, False, None, False),
+            ("--N", "N", "int", False, None, None),
+            ("--sigma", "sigma", "int", False, (-1, 1), None),
+            ("--tau", "tau", "int", False, (-1, 1), None),
+            ("--L", "L", "float", False, None, None),
+            ("--samples", "samples", "int", False, None, None),
+        ]
+    ),
+    "sweep": sorted(
+        [
+            ("--model", "model", None, True, ("eckart", "pt", "hulthen"), None),
+            ("--A", "A", "str", False, None, None),
+            ("--C", "C", "str", False, None, None),
+            ("--alpha", "alpha", "str", False, None, None),
+            ("--beta", "beta", "str", False, None, None),
+            EPS, OUT, CONFIG,
+        ]
+    ),
+    "liouville-check": sorted(
+        [
+            ("--alpha", "alpha", "float", False, None, None),
+            ("--C", "C", "float", False, None, None),
+            EPS, OUT, CONFIG,
+            ("--n-samples", "n_samples", "int", False, None, None),
+            ("--tol", "tol", "float", False, None, None),
+        ]
+    ),
+}
+
+
+def test_option_surface_is_unchanged():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(
+            (a.option_strings[0], a.dest, getattr(a.type, "__name__", None), a.required,
+             a.choices, a.default)
+            for a in sp._actions
+            if a.option_strings and a.dest != "help"
+        )
+        for name, sp in sub.choices.items()
+    }
+    assert surface == OPTION_SURFACE

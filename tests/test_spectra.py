@@ -17,6 +17,7 @@ from helpers import (
     PT_ENERGY_MP,
     PT_FIXTURE,
 )
+from ptspec import spectra
 from ptspec.errors import DegenerateBeta, IndexOutOfRange, LevelMismatch, OutsideFamily
 from ptspec.models import EckartParams, HulthenParams, PTParams
 from ptspec.spectra import (
@@ -258,6 +259,27 @@ def test_hulthen_degenerate_candidate_is_noted_and_dropped():
     spec = hulthen_levels(HulthenParams(3.0, 4.0))
     assert spec.levels == []
     assert spec.notes == ["degenerate coupling at (sigma=-1, n=0); level rejected"]
+
+
+# ---- level-count cap ---------------------------------------------------------------
+
+
+def test_level_cap_is_checked_on_the_closed_form_bound(monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 3)
+    assert len(eckart_levels(EckartParams(A=4.0, beta=1.0)).levels) == 3
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        eckart_levels(EckartParams(A=4.5, beta=1.0))
+    # (alpha + beta - 1)/2 = 2.5: three (-,-) levels fit under a cap of 3
+    assert pt_levels(PT_FIXTURE).family_counts["--"] == 3
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 2)
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        pt_levels(PT_FIXTURE)
+    # the Hulthen candidate bound of the fixture is ceil(3 + 0.5 + 1) = 5
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 5)
+    assert len(hulthen_levels(HULTHEN_FIXTURE).levels) == 3
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 4)
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        hulthen_levels(HULTHEN_FIXTURE)
 
 
 # ---- spectrum container and serialization ------------------------------------------

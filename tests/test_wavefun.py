@@ -250,7 +250,7 @@ def test_hulthen_partner_lookup_failure():
     lv = hulthen_levels(p).levels[0]
     flipped = dataclasses.replace(lv, tau=+1)
     with pytest.raises(LevelMismatch):
-        hulthen_psi(p, flipped, np.linspace(-1.0, 1.0, 5))
+        hulthen_psi(p, flipped, np.linspace(-1.0, 1.0, 5), epsilon=0.5)
 
 
 # ---- guards and dispatch ------------------------------------------------------------
