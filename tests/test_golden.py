@@ -38,6 +38,13 @@ GOLDEN = [
     (("sample", "--what", "contour", "--arch"), "666e3c71f160e6f4e33ab8e67ac2766f9ab384006409f715fbe5bc7dea876a06"),
     (("sweep", "--model", "hulthen", "--alpha", "0.2:2.2:0.2", "--C", "-9"), "a5165fcf2d83d5c601e62dd9def0f48e2603a312255415287095ca57a965ea74"),
     (("liouville-check", "--alpha", "0.5", "--C", "-9"), "f3470239c43c4cd81d53686deee99b8bb1a7f06712fe5627f23208f4fcd7df6f"),
+    # 1e5 samples: arrays of 256 KiB and more, where numpy reuses temporaries
+    # in place and may swap the operands of a product, so the last bits of a
+    # result depend on which operands are temporaries
+    (("liouville-check", "--alpha", "1.7491", "--C", "-20.8404", "--n-samples", "100000"), "98739af539f3a629804e2c1a5278178e5a8a67caab14d4f0e29f240cae7ba2a8"),
+    (("liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", "100000"), "2799ba50a7f9137769365d72f17b3bf1e0d7c56f5afe64c84d23ef3fc565bc6e"),
+    (("sample", "--what", "psi", *PT, "--sigma", "-1", "--tau", "-1", "--N", "2", "--samples", "100001"), "a877fbdcf910b69535ad2d252d29924e6626f4bff964ab7a30be6a2321b2dac8"),
+    (("sample", "--what", "psi", *HULTHEN, "--sigma", "-1", "--N", "1", "--samples", "100001"), "c6056c1a231460233dbe5e108e4141fbdf71a185c93384395d98a3e824d1bd22"),
 ]
 
 
