@@ -8,7 +8,7 @@ them, and an independent finite-difference/residual verification stack.
 
 from .contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
 from .errors import PtspecError
-from .liouville import TransformInput, transform_potential, verify_hulthen_identity
+from .liouville import ArchSamples, transform_potential, verify_hulthen_identity
 from .models import (
     EckartParams,
     HulthenParams,
@@ -41,12 +41,13 @@ from .spectra import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from .wavefun import eckart_psi, hulthen_psi, pt_psi, residual_check
+from .wavefun import SampledContour, eckart_psi, hulthen_psi, pt_psi, residual_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArchContour",
+    "ArchSamples",
     "DEFAULT_SEED",
     "EckartParams",
     "GaussParams",
@@ -55,9 +56,9 @@ __all__ = [
     "Level",
     "PTParams",
     "PtspecError",
+    "SampledContour",
     "ShiftedLine",
     "Spectrum",
-    "TransformInput",
     "TridiagonalOperator",
     "VerificationReport",
     "arch_point",

@@ -16,10 +16,10 @@ import numpy as np
 from . import oracle
 from .contour import ArchContour, ShiftedLine
 from .errors import PtspecError
-from .liouville import verify_hulthen_identity
+from .liouville import ArchSamples, verify_hulthen_identity
 from .models import MODELS, potential_fn
 from .spectra import family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
-from .wavefun import level_samples, residual_check
+from .wavefun import SampledContour, level_samples, residual_check
 
 RESIDUAL_H = 1e-3
 
@@ -119,10 +119,11 @@ def cmd_verify(args) -> int:
         window = float(_resolve(args, "grid_L", kind.residual_window))
         contour = kind.contour(epsilon=eps, L=window)
         t = np.arange(-window, window + RESIDUAL_H / 2, RESIDUAL_H)
-        v = potential_fn(model)
+        samples = SampledContour(contour, t, potential_fn(model))
         rows = []
         for lv in spectrum.levels:
-            res = residual_check(v, lv.energy, level_samples(model, lv, contour, t), contour)
+            _, _, psi = level_samples(model, lv, contour, samples)
+            res = residual_check(samples, lv.energy, psi)
             rows.append(
                 {
                     "N": lv.N,
@@ -217,11 +218,14 @@ def cmd_liouville_check(args) -> int:
     _, model = _model_from_args(args)
     eps = float(_resolve(args, "eps", 0.5))
     n_samples = int(_resolve(args, "n_samples", 100))
+    if n_samples < 1:
+        raise ValueError(f"--n-samples must be at least 1, got {n_samples}")
     tol = float(_resolve(args, "tol", 1e-9))
 
+    samples = ArchSamples(model, n_samples, eps)
     per_level = []
     for lv in spectrum_of(model).levels:
-        dev = verify_hulthen_identity(model.alpha, model.C, lv, n_samples=n_samples, epsilon=eps)
+        dev = verify_hulthen_identity(samples, lv)
         per_level.append(
             {
                 "sigma": lv.sigma,
@@ -303,8 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: built once per process; parsing leaves it unchanged, and --config fills
+#: only the namespace of its own call
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _merge_config(args)
         return args.fn(args)

@@ -2,15 +2,12 @@
 
 Carries a potential W(r) at fixed energy -kappa^2 through an analytic map
 r(xi) and returns the transformed combination V(xi) - E, picking up the
-Schwarzian-like correction from the non-constant Jacobian.  The map is any
-callable xi -> (r, r', r'', r'''); for the arch it is
-``contour.liouville_derivatives``.
+Schwarzian-like correction from the non-constant Jacobian.  The map enters
+as its values (r, r', r'', r''') at the points xi; for the arch they are
+``contour.liouville_derivatives(xi)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,70 +17,60 @@ from .models import HulthenParams, PTParams, v_hulthen, v_pt
 from .spectra import Level, check_level
 
 
-@dataclass(frozen=True)
-class TransformInput:
-    """Source potential W(r), spectral parameter kappa^2, and the map.
-
-    ``map`` is a callable xi -> (r, r', r'', r''') with analytic
-    derivatives; finite differences are not accepted here.
-    """
-
-    W: Callable
-    kappa_sq: float
-    map: Callable
-
-
-def transform_potential(inp: TransformInput, xi):
+def transform_potential(W, kappa_sq: float, derivatives):
     """V(xi) - E = r'^2 (W(r) + kappa^2) + (3/4)(r''/r')^2 - (1/2)(r'''/r').
 
-    The returned combination is the whole left-over once the wavefunction
-    is rescaled by 1/sqrt(r'), so it already includes the energy shift.
+    ``W`` is the source potential as a callable on r and ``derivatives`` the
+    map's analytic (r, r', r'', r''') at the points xi; finite differences
+    are not accepted here.  The returned combination is the whole left-over
+    once the wavefunction is rescaled by 1/sqrt(r'), so it already includes
+    the energy shift.
     """
-    xi = np.asarray(xi, dtype=complex)
-    r, r1, r2, r3 = inp.map(xi)
+    r, r1, r2, r3 = derivatives
     if np.any(np.abs(np.asarray(r1)) < 1e-12):
         raise VanishingJacobian("r'(xi) vanishes on the evaluation set")
-    return r1**2 * (inp.W(r) + inp.kappa_sq) + 0.75 * (r2 / r1) ** 2 - 0.5 * (r3 / r1)
+    return r1**2 * (W(r) + kappa_sq) + 0.75 * (r2 / r1) ** 2 - 0.5 * (r3 / r1)
 
 
-def verify_hulthen_identity(
-    alpha: float,
-    C: float,
-    level: Level,
-    n_samples: int = 100,
-    epsilon: float = 0.5,
-) -> float:
+class ArchSamples:
+    """The arch at ``n_samples`` values of t evenly spaced over [-10, 10],
+    with what every level's identity check shares there: the points xi, the
+    inverse map's (r, r', r'', r''') and the screened well v_hulthen(p, xi).
+
+    The algebraic building blocks sinh^2 r = -e^{2i xi} and
+    cosh^2 r = 1 - e^{2i xi} are checked on construction.
+    """
+
+    def __init__(self, p: HulthenParams, n_samples: int = 100, epsilon: float = 0.5) -> None:
+        self.params = p
+        self.epsilon = epsilon
+        self.xi = arch_point(np.linspace(-10.0, 10.0, n_samples), epsilon)
+        self.derivatives = liouville_derivatives(self.xi)
+
+        r = self.derivatives[0]
+        q = np.exp(2j * self.xi)
+        scale = np.maximum(1.0, np.abs(q))
+        piece = max(
+            float(np.max(np.abs(np.sinh(r) ** 2 + q) / scale)),
+            float(np.max(np.abs(np.cosh(r) ** 2 - (1.0 - q)) / scale)),
+        )
+        if piece > 1e-9:
+            raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
+        self.v = v_hulthen(p, self.xi)
+
+
+def verify_hulthen_identity(samples: ArchSamples, level: Level) -> float:
     """Max deviation of the transformed sinh/cosh well from the screened well.
 
-    For a level with derived coupling beta_eff and momentum kappa, transports
-    W(r) = v_pt(alpha, beta_eff) through the arch map and compares with
-    v_hulthen(alpha, C) - kappa^2 on n_samples arch points, evenly spaced in
-    the arch parameter t over [-10, 10].  The algebraic building blocks
-    sinh^2 r = -e^{2i xi} and cosh^2 r = 1 - e^{2i xi} are checked along the
-    way.
+    For a level of ``samples.params`` with derived coupling beta_eff and
+    momentum kappa, transports W(r) = v_pt(alpha, beta_eff) through the arch
+    map and compares with v_hulthen(alpha, C) - kappa^2 at the samples.
     """
-    hp = HulthenParams(alpha, C)
-    check_level(hp, level)
-    beta_eff = float(level.internal["beta_eff"].real)
-    pt_params = PTParams(alpha, beta_eff, epsilon)
+    p = samples.params
+    check_level(p, level)
+    pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), samples.epsilon)
     kappa_sq = level.energy
 
-    t = np.linspace(-10.0, 10.0, n_samples)
-    xi = arch_point(t, epsilon)
-    r, _, _, _ = liouville_derivatives(xi)
-
-    q = np.exp(2j * xi)
-    scale = np.maximum(1.0, np.abs(q))
-    piece = max(
-        float(np.max(np.abs(np.sinh(r) ** 2 + q) / scale)),
-        float(np.max(np.abs(np.cosh(r) ** 2 - (1.0 - q)) / scale)),
-    )
-    if piece > 1e-9:
-        raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
-
-    inp = TransformInput(
-        W=lambda rr: v_pt(pt_params, rr), kappa_sq=kappa_sq, map=liouville_derivatives
-    )
-    lhs = transform_potential(inp, xi)
-    rhs = v_hulthen(hp, xi) - kappa_sq
+    lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, samples.derivatives)
+    rhs = samples.v - kappa_sq
     return float(np.max(np.abs(lhs - rhs)))

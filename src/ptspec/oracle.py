@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .contour import ShiftedLine
 from .errors import LUBreakdown, NoConvergence, SingularPotentialOnGrid
@@ -137,6 +136,10 @@ def shift_invert_eigen(
     singular factorization retries with the shift perturbed by 1e-8 (1 + i),
     at most three attempts in all.
     """
+    # imported here: scipy.linalg costs more to import than every other
+    # command takes to run, and only this solver needs it
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     n = len(opr.diag)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -99,21 +99,19 @@ def jacobi_poly(n: int, alpha: complex, beta: complex, z: complex | np.ndarray) 
     return complex(p_cur[0]) if scalar else p_cur
 
 
-def complex_power_tracked(base_samples, exponent: complex) -> complex | np.ndarray:
-    """Raise contour samples to a complex power with a continuous branch.
+def tracked_log(base_samples) -> np.ndarray:
+    """log|b| + i arg b along an ordered sequence of contour samples b.
 
-    ``base_samples`` is an ordered sequence along a contour.  The phase is
-    unwrapped sample-to-sample and anchored to the principal argument at
-    the middle sample, so base**exponent varies continuously even when the
-    principal argument would wrap.
+    The argument is unwrapped sample-to-sample and anchored to the principal
+    argument at the middle sample, so it varies continuously even when the
+    principal argument would wrap.  This is the exponent-free half of
+    ``complex_power_tracked``: powers of the same samples share it.
 
     Raises ZeroBase on a vanishing base and PhaseJump when consecutive
     samples differ in argument by pi or more (grid too coarse to track).
     An empty sequence gives an empty array.
     """
-    base = np.asarray(base_samples, dtype=complex)
-    scalar = base.ndim == 0
-    base = np.atleast_1d(base)
+    base = np.atleast_1d(np.asarray(base_samples, dtype=complex))
     if not base.size:
         return base
     if np.any(base == 0):
@@ -126,8 +124,27 @@ def complex_power_tracked(base_samples, exponent: complex) -> complex | np.ndarr
     rel = np.concatenate(([0.0], np.cumsum(steps)))
     anchor = base.shape[0] // 2
     phase = np.angle(base[anchor]) + rel - rel[anchor]
-    out = np.exp(exponent * (np.log(np.abs(base)) + 1j * phase))
-    return complex(out[0]) if scalar else out
+    return np.log(np.abs(base)) + 1j * phase
+
+
+def tracked_power(log_base: np.ndarray, exponent: complex) -> np.ndarray:
+    """exp(exponent * log_base) for a ``tracked_log`` array."""
+    # The product takes a fresh copy, as the one-step power took a fresh
+    # temporary: from 256 KiB on, numpy computes such a product in place with
+    # the operands swapped, which moves the last bit of complex products.
+    return np.exp(exponent * log_base.copy())
+
+
+def complex_power_tracked(base_samples, exponent: complex) -> complex | np.ndarray:
+    """Raise contour samples to a complex power with a continuous branch.
+
+    ``base_samples`` is an ordered sequence along a contour; the power is
+    ``tracked_power(tracked_log(base_samples), exponent)``, whose errors and
+    branch rule it shares.
+    """
+    base = np.asarray(base_samples, dtype=complex)
+    out = tracked_power(tracked_log(base), exponent)
+    return complex(out[0]) if base.ndim == 0 else out
 
 
 def pochhammer(w: complex, n: int) -> complex:

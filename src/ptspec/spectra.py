@@ -230,18 +230,19 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
 def hulthen_levels(p: HulthenParams) -> Spectrum:
     """Enumerate (sigma, n) candidates and keep those with kappa > 0.
 
-    E = kappa^2 = C + (s - C/s)^2 / 4 > 0 for every accepted level.  The n
-    loop is bounded by sqrt(|C|) + alpha + 1, beyond which s + C/s stays
-    positive; the acceptance window need not be contiguous in n, so every
-    candidate under the bound is tried.
+    E = kappa^2 = C + (s - C/s)^2 / 4 > 0 for every accepted level.  kappa > 0
+    means s + C/s < 0: either 0 < s < sqrt(-C), or s < 0, which needs
+    2n + 1 < alpha.  Both give n < (sqrt(max(-C, 0)) + alpha - 1) / 2, and the
+    loop runs up to the floor of that bound inclusive.  The acceptance window
+    need not be contiguous in n, so every candidate under the bound is tried.
     """
     levels = []
     counts: dict[str, int] = {}
     notes: list[str] = []
-    n_bound = int(math.ceil(math.sqrt(abs(p.C)) + p.alpha + 1.0))
-    _check_count("hulthen candidate bound", n_bound)
+    n_stop = math.floor((math.sqrt(max(-p.C, 0.0)) + p.alpha - 1.0) / 2.0) + 1
+    _check_count("hulthen level bound", n_stop)
     for sigma in (-1, +1):
-        for n in range(n_bound + 1):
+        for n in range(n_stop):
             try:
                 lv = hulthen_level(p, sigma, n)
             except OutsideFamily:

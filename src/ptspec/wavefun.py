@@ -2,59 +2,177 @@
 
 Eigenfunctions are evaluated along ordered contour samples so that complex
 powers can be branch-tracked; all checks are normalization-free (ratios,
-scaled residuals), since overall constants are meaningless here.  Samples
-travel as plain arrays: ``level_samples`` returns (t, xi, psi) and
-``residual_check`` takes them.
+scaled residuals), since overall constants are meaningless here.
+
+What does not depend on the level is built once per set of points and
+shared by every level: a ``Chart`` holds the sinh/cosh arrays of the
+shifted-line eigenfunctions, a ``SampledContour`` the contour at its
+parameter values t together with the residual stencil's geometry and
+potential.  Wherever points go in, their Chart or SampledContour may go in
+instead; plain points get their own, and the same per-level code runs.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .contour import arch_point, liouville_derivatives
+from .contour import ArchContour, liouville_derivatives
 from .errors import GridTooCoarse, LevelMismatch, SingularPoint
-from .models import EckartParams, HulthenParams, PTParams, model_kind
+from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
 from .spectra import Level, check_level, pt_levels
-from .specfun import GaussParams, complex_power_tracked, gauss2f1_terminating
+from .specfun import (
+    GaussParams,
+    complex_power_tracked,
+    gauss2f1_terminating,
+    tracked_log,
+    tracked_power,
+)
 
 
-def _on_line(p, level: Level, r, cosh_too: bool = False):
+class Chart:
+    """Contour points r with what every level's shifted-line eigenfunction
+    derives from them: sinh r and cosh r, Eckart's argument z = (1 - coth r)/2,
+    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
+
+    Each array is computed on first use and kept, so a model pays only for
+    what its eigenfunction reads, and a check raises where it would for the
+    first level.
+    """
+
+    def __init__(self, r) -> None:
+        r = np.asarray(r, dtype=complex)
+        self.scalar = r.ndim == 0
+        self.r = np.atleast_1d(r)
+        self.sh = np.sinh(self.r)
+        self.ch = np.cosh(self.r)
+
+    @cached_property
+    def _vanishing(self) -> tuple:
+        return bool(np.any(np.abs(self.sh) < 1e-12)), bool(np.any(np.abs(self.ch) < 1e-12))
+
+    def check(self, cosh_too: bool = False) -> None:
+        """SingularPoint where sinh r (and, with ``cosh_too``, cosh r) vanishes."""
+        sinh_vanishes, cosh_vanishes = self._vanishing
+        if sinh_vanishes or (cosh_too and cosh_vanishes):
+            what = "sinh r or cosh r" if cosh_too else "sinh r"
+            raise SingularPoint(f"{what} vanishes on the evaluation set")
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return 0.5 * (1.0 - self.ch / self.sh)
+
+    @cached_property
+    def minus_sh2(self) -> np.ndarray:
+        return -(self.sh**2)
+
+    @cached_property
+    def log_sh(self) -> np.ndarray:
+        return tracked_log(self.sh)
+
+    @cached_property
+    def log_ch(self) -> np.ndarray:
+        return tracked_log(self.ch)
+
+    def out(self, psi: np.ndarray):
+        """``psi`` as the caller's points came in: a complex for a single point."""
+        return complex(psi[0]) if self.scalar else psi
+
+
+class SampledContour:
+    """A contour at parameter values t, with what every level's eigenfunction
+    and residual check share there.
+
+    ``potential`` is the model's potential as a callable on contour points.
+    The shifted-line eigenfunctions read ``line``, the Chart of xi(t); the
+    arch eigenfunction reads ``arch``, the Chart of the inverse map r(xi),
+    and r'^(1/2).  Arrays are computed on first use and kept, as in Chart.
+    """
+
+    def __init__(self, contour, t, potential) -> None:
+        self.contour = contour
+        self.t = np.asarray(t, dtype=float)
+        self.potential = potential
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return self.contour.point(self.t)
+
+    @cached_property
+    def line(self) -> Chart:
+        return Chart(self.xi)
+
+    @cached_property
+    def _inverse_map(self) -> tuple:
+        return liouville_derivatives(self.xi)
+
+    @cached_property
+    def arch(self) -> Chart:
+        return Chart(self._inverse_map[0])
+
+    @cached_property
+    def sqrt_r1(self):
+        return complex_power_tracked(self._inverse_map[1], 0.5)
+
+    @cached_property
+    def h(self) -> float:
+        """The t step; GridTooCoarse unless t is uniform, increasing and has
+        the 5 samples the interior stencil needs."""
+        if len(self.t) < 5:
+            raise GridTooCoarse("need at least 5 samples for the interior stencil")
+        dt = np.diff(self.t)
+        h = dt[0]
+        if h <= 0 or np.max(np.abs(dt - h)) > 1e-9 * max(1.0, abs(h)):
+            raise GridTooCoarse("samples must sit on a uniform increasing t-grid")
+        return h
+
+    @cached_property
+    def stencil(self) -> tuple:
+        """xi'^2, xi'', xi'^3 and the potential at the stencil centres t[2:-2]."""
+        tc = self.t[2:-2]
+        xp = np.asarray(self.contour.dpoint(tc), dtype=complex)
+        xpp = np.asarray(self.contour.d2point(tc), dtype=complex)
+        v = np.asarray(self.potential(self.xi[2:-2]), dtype=complex)
+        return xp**2, xpp, xp**3, v
+
+
+# ---- shifted-line eigenfunctions ---------------------------------------------------
+
+def _on_line(p, level: Level, r, cosh_too: bool = False) -> Chart:
     """Shared preamble of the shifted-line eigenfunctions.
 
-    Checks the level against ``p``, turns the contour points into a 1-d
-    array and rejects points where sinh r (and, with ``cosh_too``, cosh r)
-    vanishes.  Returns (scalar, r, sinh r, cosh r); ``scalar`` says whether a
-    single point came in.
+    Checks the level against ``p``, takes the Chart of the points ``r`` (``r``
+    itself if it is one) and rejects points where sinh r (and, with
+    ``cosh_too``, cosh r) vanishes.
     """
     check_level(p, level)
-    r = np.asarray(r, dtype=complex)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    sh = np.sinh(r)
-    ch = np.cosh(r)
-    if np.any(np.abs(sh) < 1e-12) or (cosh_too and np.any(np.abs(ch) < 1e-12)):
-        what = "sinh r or cosh r" if cosh_too else "sinh r"
-        raise SingularPoint(f"{what} vanishes on the evaluation set")
-    return scalar, r, sh, ch
+    chart = r if isinstance(r, Chart) else Chart(r)
+    chart.check(cosh_too)
+    return chart
 
 
-# ---- eckart ------------------------------------------------------------------
+def _series(level: Level, z):
+    """The level's terminating Gauss series F(a, b; c; z)."""
+    return gauss2f1_terminating(
+        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
+    )
+
 
 def eckart_psi(p: EckartParams, level: Level, r):
     """psi = sinh(r)^-(u+v) * exp((v-u) r) * F(a, b; c; (1 - coth r)/2).
 
-    ``r`` is a scalar or an ordered array of contour points; powers are
-    branch-tracked along the order given.
+    ``r`` is a scalar or an ordered array of contour points, or their Chart;
+    powers are branch-tracked along the order given.
     """
-    scalar, r, sh, ch = _on_line(p, level, r)
-    u = level.internal["u"]
-    v = level.internal["v"]
-    z = 0.5 * (1.0 - ch / sh)
-    f = gauss2f1_terminating(
-        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
-    )
-    psi = complex_power_tracked(sh, -(u + v)) * np.exp((v - u) * r) * np.atleast_1d(f)
-    return complex(psi[0]) if scalar else psi
+    chart = _on_line(p, level, r)
+    u, v = level.internal["u"], level.internal["v"]
+    f = _series(level, chart.z)
+    psi = tracked_power(chart.log_sh, -(u + v)) * np.exp((v - u) * chart.r) * f
+    return chart.out(psi)
 
 
 def eckart_psi_second_branch(p: EckartParams, level: Level, r):
@@ -64,36 +182,31 @@ def eckart_psi_second_branch(p: EckartParams, level: Level, r):
     sinh^(u-v) * exp((u+v) r) * z^(2u) * F(a, b; c; z) with the same Gauss
     parameters; it must reproduce eckart_psi up to one overall constant.
     """
-    scalar, r, sh, ch = _on_line(p, level, r)
-    u = level.internal["u"]
-    v = level.internal["v"]
-    z = 0.5 * (1.0 - ch / sh)
-    f = gauss2f1_terminating(
-        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
-    )
+    chart = _on_line(p, level, r)
+    u, v = level.internal["u"], level.internal["v"]
+    f = _series(level, chart.z)
     psi = (
-        complex_power_tracked(sh, u - v)
-        * np.exp((u + v) * r)
-        * complex_power_tracked(z, 2.0 * u)
-        * np.atleast_1d(f)
+        tracked_power(chart.log_sh, u - v)
+        * np.exp((u + v) * chart.r)
+        * complex_power_tracked(chart.z, 2.0 * u)
+        * f
     )
-    return complex(psi[0]) if scalar else psi
+    return chart.out(psi)
 
-
-# ---- poschl-teller -------------------------------------------------------------
 
 def pt_psi(p: PTParams, level: Level, r):
-    """psi = sinh^(tau*beta + 1/2) * cosh^(sigma*alpha + 1/2) * F(a, b; c; -sinh^2 r)."""
-    scalar, r, sh, ch = _on_line(p, level, r, cosh_too=True)
-    f = gauss2f1_terminating(
-        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], -(sh**2))
-    )
+    """psi = sinh^(tau*beta + 1/2) * cosh^(sigma*alpha + 1/2) * F(a, b; c; -sinh^2 r).
+
+    ``r`` is a scalar or an ordered array of contour points, or their Chart.
+    """
+    chart = _on_line(p, level, r, cosh_too=True)
+    f = _series(level, chart.minus_sh2)
     psi = (
-        complex_power_tracked(sh, level.tau * p.beta + 0.5)
-        * complex_power_tracked(ch, level.sigma * p.alpha + 0.5)
-        * np.atleast_1d(f)
+        tracked_power(chart.log_sh, level.tau * p.beta + 0.5)
+        * tracked_power(chart.log_ch, level.sigma * p.alpha + 0.5)
+        * f
     )
-    return complex(psi[0]) if scalar else psi
+    return chart.out(psi)
 
 
 def pt_psi_second_branch(p: PTParams, level: Level, r):
@@ -102,18 +215,16 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
     Re-terminating the second series brings back the same Gauss parameters,
     so this reproduces pt_psi up to one overall constant.
     """
-    scalar, r, sh, ch = _on_line(p, level, r, cosh_too=True)
+    chart = _on_line(p, level, r, cosh_too=True)
     tb = level.tau * p.beta
-    f = gauss2f1_terminating(
-        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], -(sh**2))
-    )
+    f = _series(level, chart.minus_sh2)
     psi = (
-        complex_power_tracked(sh, -tb + 0.5)
-        * complex_power_tracked(ch, level.sigma * p.alpha + 0.5)
-        * complex_power_tracked(sh**2, tb)
-        * np.atleast_1d(f)
+        tracked_power(chart.log_sh, -tb + 0.5)
+        * tracked_power(chart.log_ch, level.sigma * p.alpha + 0.5)
+        * complex_power_tracked(chart.sh**2, tb)
+        * f
     )
-    return complex(psi[0]) if scalar else psi
+    return chart.out(psi)
 
 
 # ---- hulthen ---------------------------------------------------------------------
@@ -123,14 +234,13 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
 
     Psi(xi(t)) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well
     eigenfunction with the level's derived coupling beta_eff and the arch is
-    parametrized by real t with shift epsilon.
+    parametrized by real t with shift epsilon.  ``t`` is the parameter
+    values, or a SampledContour of them on the arch with this epsilon.
     """
     check_level(p, level)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    xi = arch_point(t_arr, epsilon)
-    r, r1, _, _ = liouville_derivatives(xi)
+    samples = t
+    if not isinstance(samples, SampledContour):
+        samples = SampledContour(ArchContour(epsilon), t, potential_fn(p))
 
     beta_eff = float(level.internal["beta_eff"].real)
     pt_params = PTParams(p.alpha, beta_eff, epsilon)
@@ -139,47 +249,36 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
         raise LevelMismatch(
             f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
         )
-    chi = pt_psi(pt_params, partner, r)
-    psi = np.atleast_1d(chi) / complex_power_tracked(r1, 0.5)
-    return complex(psi[0]) if scalar else psi
+    chi = pt_psi(pt_params, partner, samples.arch)
+    psi = np.atleast_1d(chi) / samples.sqrt_r1
+    return complex(psi[0]) if samples.t.ndim == 0 else psi
 
 
 # ---- residual check ----------------------------------------------------------------
 
-def residual_check(v_of_xi, energy, samples, contour) -> float:
-    """Max scaled ODE residual |-psi'' + (V - E) psi| along a contour.
+def residual_check(samples: SampledContour, energy, psi) -> float:
+    """Max scaled ODE residual |-psi'' + (V - E) psi| along a sampled contour.
 
-    ``samples`` is a triple of arrays (t, xi, psi) on a uniform increasing
-    t-grid, as ``level_samples`` returns it; derivatives in t are taken with
-    centered five-point stencils and converted to xi derivatives through the
-    contour's analytic dpoint/d2point.  The residual at each interior point
-    is scaled by the largest |psi| in the stencil window (floored at 1e-30),
-    so tails do not produce false alarms and the check is
-    normalization-free.
+    ``psi`` is a level's eigenfunction at the samples' points, as
+    ``level_samples`` returns it; ``samples.t`` must be a uniform increasing
+    grid.  Derivatives in t are taken with centered five-point stencils and
+    converted to xi derivatives through the contour's analytic
+    dpoint/d2point.  The residual at each interior point is scaled by the
+    largest |psi| in the stencil window (floored at 1e-30), so tails do not
+    produce false alarms and the check is normalization-free.
     """
-    t, xi, psi = samples
-    if len(t) < 5:
-        raise GridTooCoarse("need at least 5 samples for the interior stencil")
-    t = np.asarray(t, dtype=float)
-    xi = np.asarray(xi, dtype=complex)
+    h = samples.h
     psi = np.asarray(psi, dtype=complex)
-
-    dt = np.diff(t)
-    h = dt[0]
-    if h <= 0 or np.max(np.abs(dt - h)) > 1e-9 * max(1.0, abs(h)):
-        raise GridTooCoarse("samples must sit on a uniform increasing t-grid")
 
     # five-point centered first and second t-derivatives on the interior
     d1 = (psi[:-4] - 8.0 * psi[1:-3] + 8.0 * psi[3:-1] - psi[4:]) / (12.0 * h)
     d2 = (-psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]) / (
         12.0 * h**2
     )
-    tc = t[2:-2]
-    xp = np.asarray(contour.dpoint(tc), dtype=complex)
-    xpp = np.asarray(contour.d2point(tc), dtype=complex)
-    psi_xixi = d2 / xp**2 - d1 * xpp / xp**3
+    xp2, xpp, xp3, v = samples.stencil
+    psi_xixi = d2 / xp2 - d1 * xpp / xp3
 
-    res = np.abs(-psi_xixi + (np.asarray(v_of_xi(xi[2:-2]), dtype=complex) - energy) * psi[2:-2])
+    res = np.abs(-psi_xixi + (v - energy) * psi[2:-2])
     window = np.abs(psi[2:-2])
     for k in (0, 1, 3, 4):
         window = np.maximum(window, np.abs(psi[k : len(psi) - 4 + k]))
@@ -187,10 +286,18 @@ def residual_check(v_of_xi, energy, samples, contour) -> float:
 
 
 def level_samples(model, level: Level, contour, t) -> tuple:
-    """A level's eigenfunction on its natural contour as arrays (t, xi, psi)."""
+    """A level's eigenfunction on its natural contour as arrays (t, xi, psi).
+
+    ``t`` is the parameter values, or a SampledContour of them on
+    ``contour``, which a report builds once and passes for every level.
+    """
     kind = model_kind(model)
-    t = np.asarray(t, dtype=float)
-    xi = contour.point(t)
+    samples = t
+    if not isinstance(samples, SampledContour):
+        samples = SampledContour(contour, t, potential_fn(model))
     psi_fn = globals()[kind.psi]
-    psi = psi_fn(model, level, t, contour.epsilon) if kind.on_arch else psi_fn(model, level, xi)
-    return t, xi, psi
+    if kind.on_arch:
+        psi = psi_fn(model, level, samples, contour.epsilon)
+    else:
+        psi = psi_fn(model, level, samples.line)
+    return samples.t, samples.xi, psi

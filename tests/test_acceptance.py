@@ -25,7 +25,7 @@ from helpers import (
     uniform_grid,
 )
 from ptspec.contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
-from ptspec.liouville import TransformInput, transform_potential, verify_hulthen_identity
+from ptspec.liouville import ArchSamples, transform_potential, verify_hulthen_identity
 from ptspec.models import (
     EckartParams,
     HulthenParams,
@@ -38,7 +38,7 @@ from ptspec.models import (
 from ptspec.oracle import GridSpec, convergence_study, discretize, free_particle_eigenvalue, match_levels, shift_invert_eigen
 from ptspec.specfun import GaussParams, gauss2f1_terminating, jacobi_poly
 from ptspec.spectra import eckart_gap, eckart_levels, hulthen_levels, pt_levels, pt_levels_complex
-from ptspec.wavefun import level_samples, residual_check
+from ptspec.wavefun import SampledContour, level_samples, residual_check
 
 LINE = ShiftedLine(0.5)
 ARCH = ArchContour(0.5)
@@ -57,13 +57,9 @@ def test_criterion_1_eckart_spectrum_confirmed_two_ways():
         abs(lv.energy - want) / abs(want) for lv, want in zip(spec.levels, ECKART_ENERGIES)
     )
     report = match_levels(spec, discretize(ECKART_FIXTURE, LINE, GRID), tol=1e-2)
+    samples = SampledContour(LINE, uniform_grid(8.0, 1e-3), potential_fn(ECKART_FIXTURE))
     res = max(
-        residual_check(
-            potential_fn(ECKART_FIXTURE),
-            lv.energy,
-            level_samples(ECKART_FIXTURE, lv, LINE, uniform_grid(8.0, 1e-3)),
-            LINE,
-        )
+        residual_check(samples, lv.energy, level_samples(ECKART_FIXTURE, lv, LINE, samples)[2])
         for lv in spec.levels
     )
     elapsed = time.perf_counter() - t0
@@ -135,13 +131,9 @@ def test_criterion_3_hulthen_table_positive_energies_and_residuals():
         / lv.energy
         for lv in spec.levels
     )
+    samples = SampledContour(ARCH, uniform_grid(10.0, 1e-3), potential_fn(HULTHEN_FIXTURE))
     res = max(
-        residual_check(
-            potential_fn(HULTHEN_FIXTURE),
-            lv.energy,
-            level_samples(HULTHEN_FIXTURE, lv, ARCH, uniform_grid(10.0, 1e-3)),
-            ARCH,
-        )
+        residual_check(samples, lv.energy, level_samples(HULTHEN_FIXTURE, lv, ARCH, samples)[2])
         for lv in spec.levels
     )
     ok = table_ok and rel < 1e-12 and positive and two_form < 1e-12 and res < 1e-6
@@ -156,17 +148,15 @@ def test_criterion_3_hulthen_table_positive_energies_and_residuals():
 def test_criterion_4_change_of_variables_identity():
     spec = hulthen_levels(HULTHEN_FIXTURE)
     per_level = max(
-        verify_hulthen_identity(HULTHEN_FIXTURE.alpha, HULTHEN_FIXTURE.C, lv)
+        verify_hulthen_identity(ArchSamples(HULTHEN_FIXTURE), lv)
         for lv in spec.levels
     )
     xi = arch_point(np.linspace(-10.0, 10.0, 100), 0.5)
     fulls = []
     for lv in spec.levels:
         pt_params = PTParams(HULTHEN_FIXTURE.alpha, float(lv.internal["beta_eff"].real), 0.5)
-        inp = TransformInput(
-            W=lambda r, q=pt_params: v_pt(q, r), kappa_sq=lv.energy, map=liouville_derivatives
-        )
-        fulls.append(transform_potential(inp, xi) + lv.energy)
+        W = lambda r, q=pt_params: v_pt(q, r)  # noqa: E731
+        fulls.append(transform_potential(W, lv.energy, liouville_derivatives(xi)) + lv.energy)
     independence = max(
         float(np.max(np.abs(fulls[i] - fulls[j])))
         for i in range(len(fulls))

@@ -73,13 +73,13 @@ def test_spectrum_non_finite_parameters_are_bad_input(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--model", "hulthen", "--alpha", "0.5", "--C", "1e300"],
+        ["spectrum", "--model", "hulthen", "--alpha", "0.5", "--C=-1e300"],
         ["spectrum", "--model", "eckart", "--A", "1e9", "--beta", "1.0"],
         ["spectrum", "--model", "pt", "--alpha", "1e9", "--beta", "1.7"],
         ["sweep", "--model", "pt", "--alpha", "0.5:1e9:1e-9", "--beta", "1.7"],
         ["verify", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--method", "residual"],
         ["sample", "--what", "psi", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--N", "0"],
-        ["liouville-check", "--alpha", "0.5", "--C", "1e300"],
+        ["liouville-check", "--alpha", "0.5", "--C=-1e300"],
     ],
 )
 def test_unbounded_enumerations_are_bad_input(argv, capsys):
@@ -87,6 +87,13 @@ def test_unbounded_enumerations_are_bad_input(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_hulthen_without_levels_is_not_refused(capsys):
+    assert run(["spectrum", "--model", "hulthen", "--alpha", "0.5", "--C", "1e9"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["levels"] == []
+    assert "note: all families empty" in captured.err
 
 
 def test_spectrum_missing_parameters(capsys):
@@ -304,6 +311,17 @@ def test_liouville_check_tolerance_gate(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_liouville_check_needs_a_positive_sample_count(n, capsys):
+    assert run(["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "--n-samples" in err
+    # also for a model without levels, where no sample would be evaluated
+    assert run(["liouville-check", "--alpha", "0.5", "--C", "1", "--n-samples", n]) == 2
+    assert "--n-samples" in capsys.readouterr().err
+
+
 # ---- config, environment, entry points ----------------------------------------
 
 
@@ -395,6 +413,50 @@ def test_unknown_flag_is_a_parser_error():
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_run_reuses_one_parser(monkeypatch, capsys):
+    def no_new_parser():
+        raise AssertionError("run built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_new_parser)
+    assert run(["spectrum", *ECKART_ARGS]) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "eckart"
+
+
+def test_config_values_do_not_leak_into_the_next_run(tmp_path, capsys):
+    assert run(["spectrum", *ECKART_ARGS]) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "pt", "alpha": 4.3, "beta": 1.7, "format": "csv"}))
+    assert run(["spectrum", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("N,sigma,tau,energy\n")
+    # the config's model, parameters and format are gone again
+    assert run(["spectrum", *ECKART_ARGS]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(["spectrum", "--alpha", "4.3"]) == 2
+    assert "unknown model None" in capsys.readouterr().err
+
+
+def test_scipy_is_imported_by_the_fd_solver_only():
+    script = """
+import contextlib, io, sys
+from ptspec.cli import run
+eckart = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        run(["spectrum", *eckart]),
+        run(["verify", *eckart, "--method", "residual"]),
+        run(["liouville-check", "--alpha", "0.5", "--C", "-9"]),
+    ]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(["verify", *eckart, "--method", "fd", "--grid-n", "300", "--tol", "10.0"])
+print(code, "scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0] []", "0 True"]
 
 
 # ---- option surface -----------------------------------------------------------

@@ -21,6 +21,8 @@ from ptspec.specfun import (
     gauss2f1_terminating,
     jacobi_poly,
     pochhammer,
+    tracked_log,
+    tracked_power,
 )
 
 
@@ -191,6 +193,22 @@ def test_power_tracked_empty_input_gives_empty_output():
     assert out.shape == (0,)
     assert out.dtype == complex
     assert complex_power_tracked([], 1.7 - 0.2j).shape == (0,)
+
+
+@pytest.mark.parametrize("exponent", [-1.5 + 0j, 1.5 - 0.6666666666666666j])
+def test_power_tracked_bits_do_not_depend_on_sharing_the_log(exponent):
+    # 1e5 samples: numpy reuses a temporary of 256 KiB or more in place,
+    # swapping the operands of a product, so the shared log must enter the
+    # product as the fresh temporary that the one-step power had
+    t = np.linspace(-12.0, 12.0, 100001)
+    base = 0.5 * (1.0 - np.cosh(t - 0.5j) / np.sinh(t - 0.5j))
+    rel = np.concatenate(([0.0], np.cumsum(np.angle(base[1:] / base[:-1]))))
+    phase = np.angle(base[50000]) + rel - rel[50000]
+    one_step = np.exp(exponent * (np.log(np.abs(base)) + 1j * phase))
+    log_base = tracked_log(base)
+    assert np.array_equal(tracked_power(log_base, exponent), one_step)
+    assert np.array_equal(complex_power_tracked(base, exponent), one_step)
+    assert np.array_equal(log_base, tracked_log(base))  # the shared log is left as it was
 
 
 def test_power_tracked_all_ones():

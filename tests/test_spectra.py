@@ -274,12 +274,50 @@ def test_level_cap_is_checked_on_the_closed_form_bound(monkeypatch):
     monkeypatch.setattr(spectra, "MAX_LEVELS", 2)
     with pytest.raises(ValueError, match="MAX_LEVELS"):
         pt_levels(PT_FIXTURE)
-    # the Hulthen candidate bound of the fixture is ceil(3 + 0.5 + 1) = 5
-    monkeypatch.setattr(spectra, "MAX_LEVELS", 5)
+    # the Hulthen loop of the fixture runs n < floor((3 + 0.5 - 1) / 2) + 1 = 2
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 2)
     assert len(hulthen_levels(HULTHEN_FIXTURE).levels) == 3
-    monkeypatch.setattr(spectra, "MAX_LEVELS", 4)
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 1)
     with pytest.raises(ValueError, match="MAX_LEVELS"):
         hulthen_levels(HULTHEN_FIXTURE)
+
+
+def _hulthen_levels_on_the_candidate_bound(p: HulthenParams) -> tuple:
+    """Levels and notes of the enumeration that tried every n up to
+    ceil(sqrt(|C|) + alpha + 1), the loop bound before the tight one."""
+    levels, notes = [], []
+    for sigma in (-1, +1):
+        for n in range(int(np.ceil(np.sqrt(abs(p.C)) + p.alpha + 1.0)) + 1):
+            try:
+                levels.append(hulthen_level(p, sigma, n))
+            except OutsideFamily:
+                continue
+            except DegenerateBeta:
+                notes.append(f"degenerate coupling at (sigma={sigma}, n={n}); level rejected")
+    levels.sort(key=lambda lv: (lv.sigma, lv.tau, lv.N))
+    return levels, notes
+
+
+def test_hulthen_tight_bound_keeps_every_level_and_note():
+    rng = np.random.default_rng(20080308)
+    grid = [
+        (alpha, C)
+        for alpha in (0.05, 0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 5.0, 10.0, 20.0)
+        for C in (-400.0, -100.0, -30.25, -20.8404, -9.0, -4.0, -1.21, -1.0, -0.25, 0.0, 4.0, 100.0)
+    ]
+    grid += [(3.0, 4.0), (5.0, 4.0), (5.0, 16.0)]  # degenerate couplings
+    grid += list(zip(rng.uniform(0.01, 20.0, 300), rng.uniform(-500.0, 500.0, 300)))
+    for alpha, C in grid:
+        p = HulthenParams(float(alpha), float(C))
+        spec = hulthen_levels(p)
+        assert (spec.levels, spec.notes) == _hulthen_levels_on_the_candidate_bound(p), (alpha, C)
+
+
+def test_hulthen_level_bound_does_not_refuse_levelless_models():
+    spec = hulthen_levels(HulthenParams(0.5, 1e9))
+    assert spec.levels == [] and spec.family_counts == {}
+    with pytest.raises(ValueError, match="MAX_LEVELS"):
+        hulthen_levels(HulthenParams(0.5, -1e300))
 
 
 # ---- spectrum container and serialization ------------------------------------------

@@ -27,6 +27,7 @@ from ptspec.wavefun import (
     level_samples,
     pt_psi,
     pt_psi_second_branch,
+    SampledContour,
     residual_check,
 )
 
@@ -169,17 +170,19 @@ def test_residuals_vanish_on_natural_contours():
         (ECKART_FIXTURE, eckart_levels(ECKART_FIXTURE).levels),
         (PT_FIXTURE, pt_levels(PT_FIXTURE).levels),
     ):
+        samples = SampledContour(LINE, t, potential_fn(p))
         for lv in levels:
-            samples = level_samples(p, lv, LINE, t)
-            res = residual_check(potential_fn(p), lv.energy, samples, LINE)
+            _, _, psi = level_samples(p, lv, LINE, samples)
+            res = residual_check(samples, lv.energy, psi)
             assert res < 1e-6
 
 
 def test_hulthen_residuals_vanish_on_the_arch():
     t = uniform_grid(10.0, 1e-3)
+    samples = SampledContour(ARCH, t, potential_fn(HULTHEN_FIXTURE))
     for lv in hulthen_levels(HULTHEN_FIXTURE).levels:
-        samples = level_samples(HULTHEN_FIXTURE, lv, ARCH, t)
-        res = residual_check(potential_fn(HULTHEN_FIXTURE), lv.energy, samples, ARCH)
+        _, _, psi = level_samples(HULTHEN_FIXTURE, lv, ARCH, samples)
+        res = residual_check(samples, lv.energy, psi)
         assert res < 1e-6
 
 
@@ -191,7 +194,7 @@ def _harmonic_residual(h: float, noise: float = 0.0) -> float:
     if noise:
         rng = np.random.default_rng(20080308)
         psi = psi * (1.0 + noise * rng.standard_normal(len(t)))
-    return residual_check(lambda z: z**2, 1.0, (t, xi, psi), line)
+    return residual_check(SampledContour(line, t, lambda z: z**2), 1.0, psi)
 
 
 def test_residual_harness_on_oscillator_ground_state():
@@ -214,11 +217,11 @@ def test_residual_grid_validation():
     t4 = np.linspace(-1.0, 1.0, 4)
     xi4 = line.point(t4)
     with pytest.raises(GridTooCoarse):
-        residual_check(lambda z: z**2, 1.0, (t4, xi4, np.exp(-(xi4**2) / 2)), line)
+        residual_check(SampledContour(line, t4, lambda z: z**2), 1.0, np.exp(-(xi4**2) / 2))
     t = np.linspace(-1.0, 1.0, 21) ** 3
     xi = line.point(t)
     with pytest.raises(GridTooCoarse):
-        residual_check(lambda z: z**2, 1.0, (t, xi, np.exp(-(xi**2) / 2)), line)
+        residual_check(SampledContour(line, t, lambda z: z**2), 1.0, np.exp(-(xi**2) / 2))
 
 
 # ---- hulthen assembly ---------------------------------------------------------------
