@@ -36,9 +36,9 @@ class Chart:
     derives from them: sinh r and cosh r, Eckart's argument z = (1 - coth r)/2,
     -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
 
-    Each array is computed on first use and kept, so a model pays only for
-    what its eigenfunction reads, and a check raises where it would for the
-    first level.
+    sinh r and cosh r are computed on construction, the rest on first use and
+    then kept, so a model pays only for what its eigenfunction reads and a
+    failing check raises in the level that first needs it.
     """
 
     def __init__(self, r) -> None:
@@ -115,7 +115,7 @@ class SampledContour:
         return Chart(self._inverse_map[0])
 
     @cached_property
-    def sqrt_r1(self):
+    def sqrt_r1(self) -> np.ndarray | complex:
         return complex_power_tracked(self._inverse_map[1], 0.5)
 
     @cached_property
@@ -297,7 +297,7 @@ def level_samples(model, level: Level, contour, t) -> tuple:
         samples = SampledContour(contour, t, potential_fn(model))
     psi_fn = globals()[kind.psi]
     if kind.on_arch:
-        psi = psi_fn(model, level, samples, contour.epsilon)
+        psi = psi_fn(model, level, samples, samples.contour.epsilon)
     else:
         psi = psi_fn(model, level, samples.line)
     return samples.t, samples.xi, psi

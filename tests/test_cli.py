@@ -322,6 +322,13 @@ def test_liouville_check_needs_a_positive_sample_count(n, capsys):
     assert "--n-samples" in capsys.readouterr().err
 
 
+def test_liouville_check_rejects_a_bad_shift_without_levels(capsys):
+    # the arch is sampled before the levels are visited, so a model without
+    # levels gets its shift checked too
+    assert run(["liouville-check", "--alpha", "0.5", "--C", "1", "--eps", "2"]) == 2
+    assert "epsilon=2.0 not in (0, pi/2)" in capsys.readouterr().err
+
+
 # ---- config, environment, entry points ----------------------------------------
 
 
