@@ -52,18 +52,36 @@ def _report(doc: dict, passed: bool, out: str | None) -> int:
     return 0 if passed else 1
 
 
+def _config_value(action: argparse.Action, key: str, val):
+    """A --config value as the option's flag would give it: a JSON string is
+    read as the flag's text, a JSON number must suit the option's type."""
+    kind = action.type or str
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    try:
+        if not (isinstance(val, str) or number and (kind is not int or isinstance(val, int))):
+            raise ValueError
+        out = kind(val)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: {json.dumps(val)} is not a valid {kind.__name__}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"config key {key!r}: {out!r} is not one of {', '.join(map(str, action.choices))}")
+    return out
+
+
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config JSON; explicit flags win."""
+    """Fill unset options from --config JSON; explicit flags win, and keys that
+    name no option of the subcommand, or hold null, are ignored."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    options = _OPTIONS[args.command]
     for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
+        action = options.get(key.replace("-", "_"))
+        if action is not None and val is not None and getattr(args, action.dest) is None:
+            setattr(args, action.dest, _config_value(action, key, val))
 
 
 def _resolve(args, name, default):
@@ -310,6 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 #: built once per process; parsing leaves it unchanged, and --config fills
 #: only the namespace of its own call
 _PARSER = build_parser()
+#: each subcommand's options by dest, for checking --config values
+_OPTIONS = {
+    name: {a.dest: a for a in sp._actions if a.option_strings}
+    for name, sp in next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices.items()
+}
 
 
 def run(argv=None) -> int:
@@ -319,6 +342,9 @@ def run(argv=None) -> int:
         return args.fn(args)
     except (PtspecError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # an input no check foresaw: still exit 2, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,11 +14,25 @@ double-precision machine epsilon and ||H|| = max|diag| + 2 |offdiag| a bound
 on the operator norm.  ||H|| grows like 4/h^2, so the test follows the
 rounding floor of the grid instead of a fixed absolute constant that fine
 grids cannot reach.
+
+The tridiagonal LU (zgttrf) and solve (zgttrs) come from the LAPACK that numpy
+already loads: numpy's wheels bundle an OpenBLAS with 64-bit integers
+(scipy-openblas, USE64BITINT), and a ctypes binding to its
+``LAPACKE_zgttrf_work``/``LAPACKE_zgttrs_work`` entry points costs nothing to
+import.  The ``_work`` variants are used because the plain LAPACKE wrappers
+scan every band and the right-hand side for NaNs on every call, which makes
+each solve about a third slower.  Where numpy carries no such library (conda
+and MKL builds, source builds, 32-bit-integer builds) or it lacks a symbol,
+the same two routines come from ``scipy.linalg.lapack``; scipy is needed only
+there.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -119,6 +133,80 @@ def residual_floor(opr: TridiagonalOperator) -> float:
     return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
 
 
+def _numpy_lapack():
+    """(factor, solve) bound to numpy's bundled ILP64 OpenBLAS, or None.
+
+    Takes numpy's word for what it was built with: only a scipy-openblas
+    LAPACK with 64-bit integers has the ``scipy_…64_`` symbols bound here.
+    """
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy before 1.25 reports no build facts
+        return None
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
+        return None
+    root = Path(np.__file__).parent  # numpy.libs/ next to it on Linux and Windows, .dylibs/ in it on macOS
+    paths = sorted([*root.parent.glob("numpy.libs/*scipy_openblas64_*"), *root.glob(".dylibs/*scipy_openblas64_*")])
+    try:
+        # already loaded by numpy, so no new mapping; PyDLL calls keep the GIL,
+        # as scipy's wrappers do, and so cost less than CDLL's on every step
+        lib = ctypes.PyDLL(str(paths[0]))
+        trf, trs = lib.scipy_LAPACKE_zgttrf_work64_, lib.scipy_LAPACKE_zgttrs_work64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    trf.restype = trs.restype = i64
+    trf.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
+    trs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
+    # arguments made once: ctypes converts a Python int on every call
+    col_major, no_trans, one = ctypes.c_int(102), ctypes.c_char(b"N"), i64(1)  # 102: LAPACK_COL_MAJOR
+    # a zero-length ctypes array over an ndarray's memory: its address is the
+    # data pointer, got at half the cost of .ctypes.data, and making it refuses
+    # a non-contiguous or read-only array
+    view = (ctypes.c_char * 0).from_buffer
+
+    def factor(dl, d, du, b):
+        n = len(d)
+        if not (dl.dtype == d.dtype == du.dtype == b.dtype == complex and len(dl) == len(du) == n - 1 == len(b) - 1):
+            raise ValueError("zgttrf/zgttrs take complex128 arrays of n - 1, n, n - 1 and n")
+        arrays = (dl, d, du, np.empty(max(n - 2, 0), dtype=complex), np.empty(n, dtype=np.int64), b)
+        ptrs = [ptr(ctypes.addressof(view(a))) for a in arrays]  # once here, not on every solve
+        info = trf(i64(n), *ptrs[:5])
+        return (*arrays, functools.partial(trs, col_major, no_trans, i64(n), one, *ptrs, i64(n))), info
+
+    def solve(lu):
+        lu[-1]()
+
+    return factor, solve
+
+
+def _scipy_lapack():
+    """(factor, solve) from scipy.linalg.lapack, for numpy builds without the library."""
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    def factor(dl, d, du, b):
+        *lu, info = zgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        return (*lu, b), info
+
+    def solve(lu):
+        zgttrs(*lu, overwrite_b=True)
+
+    return factor, solve
+
+
+@functools.cache
+def _tridiagonal_lapack():
+    """LAPACK's complex tridiagonal LU and solve, bound on the first call.
+
+    ``factor(dl, d, du, b) -> (lu, info)`` overwrites the sub-, main and
+    super-diagonal with the factors (info > 0: the matrix is singular); lu
+    starts (dl, d, du, du2, ipiv, b), with LAPACK's 1-based pivots.
+    ``solve(lu)`` overwrites b with the solution, every time into the same
+    buffer.  All four arrays are 1-d, contiguous and complex128.
+    """
+    return _numpy_lapack() or _scipy_lapack()
+
+
 def shift_invert_eigen(
     opr: TridiagonalOperator,
     shift: complex,
@@ -128,7 +216,8 @@ def shift_invert_eigen(
     """Eigenvalue of the operator nearest the shift, plus iterations used.
 
     Inverse iteration on one partial-pivoting LU factorization of H - shift
-    (LAPACK zgttrf, then zgttrs on every step); the eigenvalue estimate is the
+    (LAPACK zgttrf, then zgttrs on every step, from numpy's own OpenBLAS or
+    else scipy: see the module docstring); the eigenvalue estimate is the
     Rayleigh quotient of each normalized iterate y.  The iteration stops at the
     first step it >= 2 with ||H y - e y|| <= c * eps * ||H||, where
     c = RESIDUAL_FACTOR = 4096 and ||H|| = max|diag| + 2 |offdiag| (see
@@ -136,10 +225,7 @@ def shift_invert_eigen(
     singular factorization retries with the shift perturbed by 1e-8 (1 + i),
     at most three attempts in all.
     """
-    # imported here: scipy.linalg costs more to import than every other
-    # command takes to run, and only this solver needs it
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
+    factor, solve = _tridiagonal_lapack()
     n = len(opr.diag)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -148,18 +234,15 @@ def shift_invert_eigen(
     floor = residual_floor(opr)
     work_shift = complex(shift)
     for _attempt in range(3):
-        # zgttrf factors in place: the three bands become the first factor arrays
+        # the LU is made in place, and every solve overwrites y = x in place
         off = np.full(n - 1, opr.offdiag, dtype=complex)
-        *lu, info = zgttrf(
-            off, opr.diag - work_shift, off.copy(),
-            overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-        )
+        lu, info = factor(off, opr.diag - work_shift, off.copy(), x)
         if info > 0:
             work_shift += 1e-8 * (1.0 + 1.0j)
             continue
         y = x
         for it in range(1, max_iter + 1):
-            y, _ = zgttrs(*lu, y, overwrite_b=True)
+            solve(lu)
             y /= np.linalg.norm(y)
             hy = opr.matvec(y)
             e = _rayleigh(opr, y, hy)

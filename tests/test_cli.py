@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptspec import cli
 from ptspec.cli import build_parser, run
@@ -398,6 +404,58 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        (["spectrum", "--model", "eckart"], {"A": [1], "beta": 1}, "A"),
+        (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": True}, "beta"),
+        (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": 1, "format": "xml"}, "format"),
+        (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": 1, "eps": {"x": 1}}, "eps"),
+        (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": 1, "out": [1]}, "out"),
+        (["verify", *PT_ARGS], {"grid-n": 300.5}, "grid-n"),
+    ],
+)
+def test_config_value_of_the_wrong_type_names_its_key(argv, config, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r}: ")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
+    def broken(model):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "spectrum_of", broken)
+    assert run(["spectrum", *ECKART_ARGS]) == 2
+    assert capsys.readouterr().err == "error: KeyError: 'boom'\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: spectrum's options but --out and --config, whose text values are file paths
+_SPECTRUM_KEYS = ["model", "A", "alpha", "beta", "C", "eps", "format"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SPECTRUM_KEYS), _JSON | st.sampled_from(["eckart", "pt", "hulthen", "csv"])))
+def test_spectrum_config_of_any_json_exits_0_or_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["spectrum", "--config", cfg])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_seed_environment_override(monkeypatch, capsys):
     monkeypatch.setenv("PTSPEC_SEED", "123")
     assert run(["verify", *PT_ARGS, "--grid-n", "300", "--tol", "10.0"]) == 0
@@ -445,7 +503,9 @@ def test_config_values_do_not_leak_into_the_next_run(tmp_path, capsys):
     assert "unknown model None" in capsys.readouterr().err
 
 
-def test_scipy_is_imported_by_the_fd_solver_only():
+def test_no_command_imports_scipy():
+    # the fd solver binds the LAPACK inside numpy's own wheel; scipy is only
+    # the fallback for numpy builds that carry none
     script = """
 import contextlib, io, sys
 from ptspec.cli import run
@@ -455,15 +515,13 @@ with contextlib.redirect_stdout(io.StringIO()):
         run(["spectrum", *eckart]),
         run(["verify", *eckart, "--method", "residual"]),
         run(["liouville-check", "--alpha", "0.5", "--C", "-9"]),
+        run(["verify", *eckart, "--method", "fd", "--grid-n", "300", "--tol", "10.0"]),
     ]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = run(["verify", *eckart, "--method", "fd", "--grid-n", "300", "--tol", "10.0"])
-print(code, "scipy.linalg" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 0] []", "0 True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] []"]
 
 
 # ---- option surface -----------------------------------------------------------

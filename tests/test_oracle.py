@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from helpers import ECKART_FIXTURE, PT_FIXTURE
+from ptspec import cli, oracle
 from ptspec.contour import ArchContour, ShiftedLine
 from ptspec.errors import NoConvergence, SingularPotentialOnGrid
 from ptspec.oracle import (
@@ -29,6 +31,8 @@ from ptspec.models import PTParams
 from ptspec.spectra import Level, eckart_levels, pt_levels
 
 LINE = ShiftedLine(0.5)
+ECKART_CLI = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
+PT_CLI = ["--model", "pt", "--alpha", "4.3", "--beta", "1.7", "--eps", "0.5"]
 
 
 def _zero_potential(z):
@@ -120,6 +124,86 @@ def test_singular_shift_retries_with_perturbation():
     e, iters = shift_invert_eigen(opr, 0.0)
     assert e == 0j
     assert iters == 2
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def lapack(request):
+    """Each (factor, solve) backend this platform has."""
+    if request.param == "scipy":
+        pytest.importorskip("scipy")
+        return oracle._scipy_lapack()
+    backend = oracle._numpy_lapack()
+    if backend is None:
+        pytest.skip("numpy bundles no ILP64 scipy-openblas here")
+    return backend
+
+
+@pytest.mark.parametrize("n, diag_scale", [(2, 1.0), (3, 1.0), (200, 1.0), (200, 0.1)])
+def test_tridiagonal_lapack_solves_like_dense(lapack, request, n, diag_scale):
+    # unequal random bands catch a swapped band order; a diagonal smaller than
+    # the bands makes most rows swap, whose pivots a mistyped ipiv would garble
+    if n == 2 and request.node.callspec.params["lapack"] == "scipy":
+        pytest.skip("scipy's zgttrf wrapper refuses n = 2")
+    factor, solve = lapack
+    rng = np.random.default_rng(n)
+    dl, d, du, b = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (n - 1, n, n - 1, n))
+    d *= diag_scale
+    want = np.linalg.solve(np.diag(d) + np.diag(dl, -1) + np.diag(du, 1), b)
+    lu, info = factor(dl.copy(), d.copy(), du.copy(), b)
+    assert info == 0
+    solve(lu)
+    assert np.allclose(b, want, rtol=1e-10, atol=0.0)
+    steps = lu[4] - np.arange(1, n + 1)  # row i swaps with row i + 1, or not at all
+    assert set(steps[:-1]) <= {0, 1} and steps[-1] == 0
+    if diag_scale < 1.0:
+        assert np.mean(steps) > 0.8
+
+
+def test_numpy_lapack_refuses_arrays_it_cannot_pass_as_pointers():
+    backend = oracle._numpy_lapack()
+    if backend is None:
+        pytest.skip("numpy bundles no ILP64 scipy-openblas here")
+    factor, _ = backend
+    bands = lambda: (np.ones(9, dtype=complex), np.full(10, 4.0 + 0j), np.ones(9, dtype=complex))
+    with pytest.raises(ValueError):
+        factor(*bands(), np.ones(10))  # float64 right-hand side
+    with pytest.raises(ValueError):
+        factor(*bands(), np.ones(11, dtype=complex))  # wrong length
+    with pytest.raises((TypeError, ValueError)):
+        factor(*bands(), np.ones(20, dtype=complex)[::2])  # strided
+
+
+def test_tridiagonal_lapack_reports_a_singular_matrix(lapack):
+    factor, _ = lapack
+    zeros = np.zeros(49, dtype=complex)
+    _, info = factor(zeros.copy(), np.zeros(50, dtype=complex), zeros, np.ones(50, dtype=complex))
+    assert info > 0
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        ([*PT_CLI, "--grid-n", "1500"], None),
+        ([*PT_CLI, "--grid-n", "48000"], None),
+        ([*ECKART_CLI], None),
+        # the continuum-adjacent level that takes 191 steps and misses tol
+        (["--model", "eckart", "--A", "4.2936", "--beta", "2.5817", "--grid-n", "1500"], "1600859781"),
+    ],
+    ids=["pt-1500", "pt-48000", "eckart", "eckart-continuum"],
+)
+def test_scipy_fallback_gives_the_same_report(argv, seed, monkeypatch, capsys):
+    pytest.importorskip("scipy")
+    if seed is not None:
+        monkeypatch.setenv("PTSPEC_SEED", seed)
+    reports = []
+    for backend in (oracle._tridiagonal_lapack, oracle._scipy_lapack):
+        monkeypatch.setattr(oracle, "_tridiagonal_lapack", backend)
+        code = cli.run(["verify", *argv, "--method", "fd"])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+    if seed is not None:
+        assert reports[0][0] == 1
+        assert 191 in (lv["iterations"] for lv in json.loads(reports[0][1].out)["levels"])
 
 
 def test_stopping_rule_scales_with_the_operator():
