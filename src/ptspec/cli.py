@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -61,8 +62,8 @@ def _config_value(action: argparse.Action, key: str, val):
         if not (isinstance(val, str) or number and (kind is not int or isinstance(val, int))):
             raise ValueError
         out = kind(val)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: {json.dumps(val)} is not a valid {kind.__name__}") from None
+    except (ValueError, OverflowError):  # OverflowError: an integer too large for a float
+        raise ValueError(f"config key {key!r}: {reprlib.repr(val)} is not a valid {kind.__name__}") from None
     if action.choices is not None and out not in action.choices:
         raise ValueError(f"config key {key!r}: {out!r} is not one of {', '.join(map(str, action.choices))}")
     return out

@@ -413,6 +413,7 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
         (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": 1, "eps": {"x": 1}}, "eps"),
         (["spectrum", "--model", "eckart"], {"A": 3.5, "beta": 1, "out": [1]}, "out"),
         (["verify", *PT_ARGS], {"grid-n": 300.5}, "grid-n"),
+        (["spectrum", "--model", "eckart"], {"A": 10**400, "beta": 1}, "A"),
     ],
 )
 def test_config_value_of_the_wrong_type_names_its_key(argv, config, key, tmp_path, capsys):

@@ -164,13 +164,13 @@ def test_numpy_lapack_refuses_arrays_it_cannot_pass_as_pointers():
     if backend is None:
         pytest.skip("numpy bundles no ILP64 scipy-openblas here")
     factor, _ = backend
-    bands = lambda: (np.ones(9, dtype=complex), np.full(10, 4.0 + 0j), np.ones(9, dtype=complex))
+    bands = (np.ones(9, dtype=complex), np.full(10, 4.0 + 0j), np.ones(9, dtype=complex))
     with pytest.raises(ValueError):
-        factor(*bands(), np.ones(10))  # float64 right-hand side
+        factor(*bands, np.ones(10))  # float64 right-hand side
     with pytest.raises(ValueError):
-        factor(*bands(), np.ones(11, dtype=complex))  # wrong length
+        factor(*bands, np.ones(11, dtype=complex))  # wrong length
     with pytest.raises((TypeError, ValueError)):
-        factor(*bands(), np.ones(20, dtype=complex)[::2])  # strided
+        factor(*bands, np.ones(20, dtype=complex)[::2])  # strided
 
 
 def test_tridiagonal_lapack_reports_a_singular_matrix(lapack):
