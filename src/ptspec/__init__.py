@@ -23,13 +23,12 @@ from .oracle import (
     DEFAULT_SEED,
     GridSpec,
     TridiagonalOperator,
-    VerificationReport,
     convergence_study,
     discretize,
     match_levels,
     shift_invert_eigen,
 )
-from .specfun import GaussParams, complex_power_tracked, gauss2f1_terminating, jacobi_poly
+from .specfun import complex_power_tracked, gauss2f1_terminating, jacobi_poly
 from .spectra import (
     Level,
     Spectrum,
@@ -50,7 +49,6 @@ __all__ = [
     "ArchSamples",
     "DEFAULT_SEED",
     "EckartParams",
-    "GaussParams",
     "GridSpec",
     "HulthenParams",
     "Level",
@@ -60,7 +58,6 @@ __all__ = [
     "ShiftedLine",
     "Spectrum",
     "TridiagonalOperator",
-    "VerificationReport",
     "arch_point",
     "complex_power_tracked",
     "convergence_study",

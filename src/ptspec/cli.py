@@ -24,7 +24,7 @@ from .wavefun import SampledContour, level_samples, residual_check
 
 RESIDUAL_H = 1e-3
 
-#: most values one ``sweep`` range may expand to
+#: most values one ``sweep`` range may expand to, and most points of any sample grid
 MAX_SWEEP_VALUES = 1_000_000
 
 
@@ -85,6 +85,12 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, action.dest, _config_value(action, key, val))
 
 
+def _check_points(option: str, count: float) -> None:
+    """ValueError naming ``option`` if its grid would exceed MAX_SWEEP_VALUES points."""
+    if not count <= MAX_SWEEP_VALUES:
+        raise ValueError(f"{option} asks for {count:.0f} points; at most {MAX_SWEEP_VALUES} are allowed")
+
+
 def _resolve(args, name, default):
     val = getattr(args, name, None)
     return default if val is None else val
@@ -128,31 +134,23 @@ def cmd_verify(args) -> int:
         if kind.on_arch:
             raise ValueError("finite differences run on the shifted line; use --method residual")
         tol = float(_resolve(args, "tol", 1e-2))
-        grid = oracle.GridSpec(
-            L=float(_resolve(args, "grid_L", 12.0)), n=int(_resolve(args, "grid_n", 1500))
-        )
+        n = int(_resolve(args, "grid_n", 1500))
+        _check_points("--grid-n", n)
+        grid = oracle.GridSpec(L=float(_resolve(args, "grid_L", 12.0)), n=n)
         opr = oracle.discretize(model, ShiftedLine(epsilon=eps, L=grid.L), grid)
-        doc = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed()).to_dict()
+        doc = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed())
     elif method == "residual":
         tol = float(_resolve(args, "tol", 1e-6))
         window = float(_resolve(args, "grid_L", kind.residual_window))
         contour = kind.contour(epsilon=eps, L=window)
+        _check_points("--grid-L", 2 * window / RESIDUAL_H + 1)
         t = np.arange(-window, window + RESIDUAL_H / 2, RESIDUAL_H)
         samples = SampledContour(contour, t, potential_fn(model))
         rows = []
         for lv in spectrum.levels:
             _, _, psi = level_samples(model, lv, contour, samples)
             res = residual_check(samples, lv.energy, psi)
-            rows.append(
-                {
-                    "N": lv.N,
-                    "sigma": lv.sigma,
-                    "tau": lv.tau,
-                    "energy": lv.energy,
-                    "residual": res,
-                    "passed": bool(res < tol),
-                }
-            )
+            rows.append(lv.row(energy=lv.energy, residual=res, passed=bool(res < tol)))
         doc = {
             "model": spectrum.model,
             "params": dict(spectrum.params),
@@ -179,6 +177,7 @@ def cmd_sample(args) -> int:
         shape = kind.contour
     L = float(_resolve(args, "L", shape.L))
     contour = shape(eps, L)
+    _check_points("--samples", n_samples)
     t = np.linspace(-L, L, n_samples)
 
     if args.what == "contour":
@@ -239,6 +238,7 @@ def cmd_liouville_check(args) -> int:
     n_samples = int(_resolve(args, "n_samples", 100))
     if n_samples < 1:
         raise ValueError(f"--n-samples must be at least 1, got {n_samples}")
+    _check_points("--n-samples", n_samples)
     tol = float(_resolve(args, "tol", 1e-9))
 
     samples = ArchSamples(model, n_samples, eps)

@@ -4,7 +4,8 @@ Carries a potential W(r) at fixed energy -kappa^2 through an analytic map
 r(xi) and returns the transformed combination V(xi) - E, picking up the
 Schwarzian-like correction from the non-constant Jacobian.  The map enters
 as its values (r, r', r'', r''') at the points xi; for the arch they are
-``contour.liouville_derivatives(xi)``.
+``contour.liouville_derivatives(xi)``; ``ArchSamples`` holds r as its
+``models.Chart``, whose sinh r and cosh r every level's v_pt reads.
 """
 
 from __future__ import annotations
@@ -13,18 +14,18 @@ import numpy as np
 
 from .contour import arch_point, liouville_derivatives
 from .errors import VanishingJacobian
-from .models import HulthenParams, PTParams, v_hulthen, v_pt
+from .models import Chart, HulthenParams, PTParams, v_hulthen, v_pt
 from .spectra import Level, check_level
 
 
 def transform_potential(W, kappa_sq: float, derivatives):
     """V(xi) - E = r'^2 (W(r) + kappa^2) + (3/4)(r''/r')^2 - (1/2)(r'''/r').
 
-    ``W`` is the source potential as a callable on r and ``derivatives`` the
-    map's analytic (r, r', r'', r''') at the points xi; finite differences
-    are not accepted here.  The returned combination is the whole left-over
-    once the wavefunction is rescaled by 1/sqrt(r'), so it already includes
-    the energy shift.
+    ``W`` is the source potential as a callable on r (or on its Chart) and
+    ``derivatives`` the map's analytic (r, r', r'', r''') at the points xi;
+    finite differences are not accepted here.  The returned combination is
+    the whole left-over once the wavefunction is rescaled by 1/sqrt(r'), so
+    it already includes the energy shift.
     """
     r, r1, r2, r3 = derivatives
     if np.any(np.abs(np.asarray(r1)) < 1e-12):
@@ -35,7 +36,8 @@ def transform_potential(W, kappa_sq: float, derivatives):
 class ArchSamples:
     """The arch at ``n_samples`` values of t evenly spaced over [-10, 10],
     with what every level's identity check shares there: the points xi, the
-    inverse map's (r, r', r'', r''') and the screened well v_hulthen(p, xi).
+    inverse map's (r, r', r'', r''') with r as its Chart, and the screened
+    well v_hulthen(p, xi).
 
     The algebraic building blocks sinh^2 r = -e^{2i xi} and
     cosh^2 r = 1 - e^{2i xi} are checked on construction.
@@ -45,14 +47,15 @@ class ArchSamples:
         self.params = p
         self.epsilon = epsilon
         self.xi = arch_point(np.linspace(-10.0, 10.0, n_samples), epsilon)
-        self.derivatives = liouville_derivatives(self.xi)
+        r, *rest = liouville_derivatives(self.xi)
+        self.chart = Chart(r)
+        self.derivatives = (self.chart, *rest)
 
-        r = self.derivatives[0]
         q = np.exp(2j * self.xi)
         scale = np.maximum(1.0, np.abs(q))
         piece = max(
-            float(np.max(np.abs(np.sinh(r) ** 2 + q) / scale)),
-            float(np.max(np.abs(np.cosh(r) ** 2 - (1.0 - q)) / scale)),
+            float(np.max(np.abs(self.chart.sh**2 + q) / scale)),
+            float(np.max(np.abs(self.chart.ch**2 - (1.0 - q)) / scale)),
         )
         if piece > 1e-9:
             raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")

@@ -12,20 +12,78 @@ Three exactly solvable models, all in units hbar = 2m = 1:
 ``MODELS`` holds one ``Model`` row per model with everything that differs
 between them, and ``model_kind`` is the one lookup from a parameter record to
 its row.  Every place that used to ask "which model is this?" goes through it.
+
+The sinh/cosh potentials and the shifted-line eigenfunctions take points r or
+their ``Chart``, which forms sinh r and cosh r once; ``Chart.of`` is the one
+check that they do not vanish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
 from .contour import ArchContour, ShiftedLine, _check_epsilon, _check_symmetric_grid
 from .errors import SingularPoint
+from .specfun import tracked_log
 
 _SINGULAR_TOL = 1e-12
+
+
+class Chart:
+    """Contour points r with what the sinh/cosh potentials and shifted-line
+    eigenfunctions derive from them: sinh r, cosh r, Eckart's z = (1 - coth r)/2,
+    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
+
+    sinh r and cosh r are computed on construction, the rest on first use and
+    then kept, so a model pays only for what it reads and a failing check
+    raises in the level that first needs it.  A single point is held as a
+    one-element array, so it gives exactly the value it has inside an array.
+    """
+
+    def __init__(self, r) -> None:
+        r = np.asarray(r, dtype=complex)
+        self.scalar = r.ndim == 0
+        self.r = np.atleast_1d(r)
+        self.sh = np.sinh(self.r)
+        self.ch = np.cosh(self.r)
+
+    @classmethod
+    def of(cls, r, cosh_too: bool = False) -> Chart:
+        """The Chart of points ``r`` (``r`` itself if it is one); SingularPoint
+        where sinh r (and, with ``cosh_too``, cosh r) vanishes."""
+        chart = r if isinstance(r, cls) else cls(r)
+        if chart._vanishing[0] or (cosh_too and chart._vanishing[1]):
+            raise SingularPoint(f"{'sinh r or cosh r' if cosh_too else 'sinh r'} vanishes on the evaluation set")
+        return chart
+
+    @cached_property
+    def _vanishing(self) -> tuple:
+        return tuple(bool(np.any(np.abs(a) < _SINGULAR_TOL)) for a in (self.sh, self.ch))
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return 0.5 * (1.0 - self.ch / self.sh)
+
+    @cached_property
+    def minus_sh2(self) -> np.ndarray:
+        return -(self.sh**2)
+
+    @cached_property
+    def log_sh(self) -> np.ndarray:
+        return tracked_log(self.sh)
+
+    @cached_property
+    def log_ch(self) -> np.ndarray:
+        return tracked_log(self.ch)
+
+    def out(self, values: np.ndarray):
+        """``values`` as the caller's points came in: a complex for a single point."""
+        return complex(values[0]) if self.scalar else values
 
 
 def _check_finite(record) -> None:
@@ -86,31 +144,25 @@ ModelSpec = Union[EckartParams, PTParams, HulthenParams]
 
 
 def v_eckart(p: EckartParams, r):
-    """A(A-1)/sinh^2 r - 2i*beta*cosh r / sinh r at complex r."""
-    r = np.asarray(r, dtype=complex)
-    sh = np.sinh(r)
-    if np.any(np.abs(sh) < _SINGULAR_TOL):
-        raise SingularPoint("sinh r vanishes on the evaluation set")
-    return p.A * (p.A - 1.0) / sh**2 - 2j * p.beta * np.cosh(r) / sh
+    """A(A-1)/sinh^2 r - 2i*beta*cosh r / sinh r at complex points r or their Chart."""
+    c = Chart.of(r)
+    return c.out(p.A * (p.A - 1.0) / c.sh**2 - 2j * p.beta * c.ch / c.sh)
 
 
 def v_pt(p: PTParams, r):
-    """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex r."""
-    r = np.asarray(r, dtype=complex)
-    sh = np.sinh(r)
-    ch = np.cosh(r)
-    if np.any(np.abs(sh) < _SINGULAR_TOL) or np.any(np.abs(ch) < _SINGULAR_TOL):
-        raise SingularPoint("sinh r or cosh r vanishes on the evaluation set")
-    return (p.beta**2 - 0.25) / sh**2 - (p.alpha**2 - 0.25) / ch**2
+    """(beta^2 - 1/4)/sinh^2 r - (alpha^2 - 1/4)/cosh^2 r at complex points r or their Chart."""
+    c = Chart.of(r, cosh_too=True)
+    return c.out((p.beta**2 - 0.25) / c.sh**2 - (p.alpha**2 - 0.25) / c.ch**2)
 
 
 def v_hulthen(p: HulthenParams, xi):
     """A/(1 - e^{2i xi})^2 + B/(1 - e^{2i xi}) at complex xi."""
     xi = np.asarray(xi, dtype=complex)
-    d = 1.0 - np.exp(2j * xi)
+    d = 1.0 - np.exp(2j * np.atleast_1d(xi))  # a single point as one element, as in Chart
     if np.any(np.abs(d) < _SINGULAR_TOL):
         raise SingularPoint("exp(2i*xi) = 1 on the evaluation set")
-    return p.A / d**2 + p.B / d
+    v = p.A / d**2 + p.B / d
+    return complex(v[0]) if xi.ndim == 0 else v
 
 
 @dataclass(frozen=True)

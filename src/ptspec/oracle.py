@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -262,101 +262,45 @@ def dense_eigenvalues(opr: TridiagonalOperator) -> np.ndarray:
 
 # ---- matching and reports ---------------------------------------------------------
 
-@dataclass
-class LevelCheck:
-    N: int
-    sigma: int | None
-    tau: int | None
-    energy_analytic: float
-    energy_numeric: complex
-    abs_delta: float
-    im_abs: float
-    iterations: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "energy_analytic": self.energy_analytic,
-            "energy_numeric": [self.energy_numeric.real, self.energy_numeric.imag],
-            "abs_delta": self.abs_delta,
-            "im_abs": self.im_abs,
-            "iterations": self.iterations,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class VerificationReport:
-    model: str
-    params: dict
-    grid: dict
-    tol: float
-    seed: int
-    checks: list = field(default_factory=list)
-    tol_source: str = TOL_SOURCE
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_im(self) -> float:
-        return max((c.im_abs for c in self.checks), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "grid": dict(self.grid),
-            "tol": self.tol,
-            "tol_source": self.tol_source,
-            "seed": self.seed,
-            "levels": [c.to_dict() for c in self.checks],
-            "max_im": self.max_im,
-            "all_passed": self.all_passed,
-        }
-
-
 def match_levels(
     spectrum: Spectrum,
     opr: TridiagonalOperator,
     tol: float,
     seed: int = DEFAULT_SEED,
-) -> VerificationReport:
-    """Shift-invert at every analytic level and compare.
+) -> dict:
+    """Shift-invert at every analytic level and compare; returns the report.
 
     A level passes when |E_numeric - E_analytic| < tol and |Im E_numeric| < tol;
     spurious contour-continuum eigenvalues sit far from the real targets, so
-    targeting the analytic energies keeps the iteration away from them.
+    targeting the analytic energies keeps the iteration away from them.  The
+    report is the JSON document that ``verify --method fd`` prints.
     """
-    report = VerificationReport(
-        model=spectrum.model,
-        params=spectrum.params,
-        grid={"L": opr.grid.L, "n": opr.grid.n, "h": opr.grid.h},
-        tol=tol,
-        seed=seed,
-    )
+    rows = []
     for lv in spectrum.levels:
         e_num, iters = shift_invert_eigen(opr, lv.energy, seed=seed)
         delta = abs(e_num - lv.energy)
         im_abs = abs(e_num.imag)
-        report.checks.append(
-            LevelCheck(
-                N=lv.N,
-                sigma=lv.sigma,
-                tau=lv.tau,
+        rows.append(
+            lv.row(
                 energy_analytic=lv.energy,
-                energy_numeric=e_num,
+                energy_numeric=[e_num.real, e_num.imag],
                 abs_delta=delta,
                 im_abs=im_abs,
                 iterations=iters,
                 passed=bool(delta < tol and im_abs < tol),
             )
         )
-    return report
+    return {
+        "model": spectrum.model,
+        "params": dict(spectrum.params),
+        "grid": {"L": opr.grid.L, "n": opr.grid.n, "h": opr.grid.h},
+        "tol": tol,
+        "tol_source": TOL_SOURCE,
+        "seed": seed,
+        "levels": rows,
+        "max_im": max((r["im_abs"] for r in rows), default=0.0),
+        "all_passed": all(r["passed"] for r in rows),
+    }
 
 
 def convergence_study(model, contour: ShiftedLine, level, h_list, seed: int = DEFAULT_SEED) -> float:

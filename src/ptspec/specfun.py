@@ -6,27 +6,12 @@ and complex powers with the branch tracked along an ordered contour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonTerminating, PhaseJump, PoleInC, ZeroBase
 
 #: tolerance for "is (numerically) an integer" decisions
 INTEGER_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GaussParams:
-    """Upper parameters (a, b), lower parameter c and argument z.
-
-    z may be a scalar or an ndarray of evaluation points.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    z: complex
 
 
 def _as_nonneg_termination_index(w: complex) -> int | None:
@@ -38,8 +23,10 @@ def _as_nonneg_termination_index(w: complex) -> int | None:
     return None
 
 
-def gauss2f1_terminating(p: GaussParams) -> complex | np.ndarray:
-    """Sum a terminating Gauss series by running Pochhammer recurrences.
+def gauss2f1_terminating(a: complex, b: complex, c: complex, z) -> complex | np.ndarray:
+    """Sum the terminating series F(a, b; c; z) by running Pochhammer recurrences.
+
+    z may be a scalar or an ndarray of evaluation points.
 
     One of a, b must equal -N for an integer N >= 0 (within INTEGER_TOL);
     the sum then has exactly N + 1 terms, the smaller N when both qualify.
@@ -48,28 +35,23 @@ def gauss2f1_terminating(p: GaussParams) -> complex | np.ndarray:
     integer and PoleInC if c is a non-positive integer hit before the
     series terminates.
     """
-    candidates = [
-        n for n in (
-            _as_nonneg_termination_index(p.a),
-            _as_nonneg_termination_index(p.b),
-        ) if n is not None
-    ]
+    candidates = [n for n in map(_as_nonneg_termination_index, (a, b)) if n is not None]
     if not candidates:
-        raise NonTerminating(f"neither a={p.a} nor b={p.b} is a non-positive integer")
+        raise NonTerminating(f"neither a={a} nor b={b} is a non-positive integer")
     n_stop = min(candidates)
 
-    m = _as_nonneg_termination_index(p.c)
+    m = _as_nonneg_termination_index(c)
     if m is not None and m < n_stop:
-        raise PoleInC(f"c={p.c} poles the series before termination at N={n_stop}")
+        raise PoleInC(f"c={c} poles the series before termination at N={n_stop}")
 
-    z = np.asarray(p.z, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
 
     term = np.ones_like(z)
     total = term.copy()
     for k in range(1, n_stop + 1):
-        term = term * ((p.a + k - 1) * (p.b + k - 1) / ((p.c + k - 1) * k)) * z
+        term = term * ((a + k - 1) * (b + k - 1) / ((c + k - 1) * k)) * z
         total = total + term
     return complex(total[0]) if scalar else total
 

@@ -52,6 +52,10 @@ class Level:
     energy: float
     internal: Mapping[str, complex] = field(default_factory=dict)
 
+    def row(self, **facts) -> dict:
+        """The level's row in a report: N, sigma and tau, then ``facts`` in order."""
+        return {"N": self.N, "sigma": self.sigma, "tau": self.tau, **facts}
+
 
 @dataclass
 class Spectrum:
@@ -78,16 +82,10 @@ class Spectrum:
             "model": self.model,
             "params": dict(self.params),
             "levels": [
-                {
-                    "N": lv.N,
-                    "sigma": lv.sigma,
-                    "tau": lv.tau,
-                    "energy": lv.energy,
-                    "internal": {
-                        k: [complex(v).real, complex(v).imag]
-                        for k, v in lv.internal.items()
-                    },
-                }
+                lv.row(
+                    energy=lv.energy,
+                    internal={k: [complex(v).real, complex(v).imag] for k, v in lv.internal.items()},
+                )
                 for lv in self.levels
             ],
             "family_counts": dict(self.family_counts),

@@ -5,7 +5,7 @@ powers can be branch-tracked; all checks are normalization-free (ratios,
 scaled residuals), since overall constants are meaningless here.
 
 What does not depend on the level is built once per set of points and
-shared by every level: a ``Chart`` holds the sinh/cosh arrays of the
+shared by every level: a ``models.Chart`` holds the sinh/cosh arrays of the
 shifted-line eigenfunctions, a ``SampledContour`` the contour at its
 parameter values t together with the residual stencil's geometry and
 potential.  Wherever points go in, their Chart or SampledContour may go in
@@ -19,65 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .contour import ArchContour, liouville_derivatives
-from .errors import GridTooCoarse, LevelMismatch, SingularPoint
-from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
+from .errors import GridTooCoarse, LevelMismatch
+from .models import Chart, EckartParams, HulthenParams, PTParams, model_kind, potential_fn
 from .spectra import Level, check_level, pt_levels
-from .specfun import (
-    GaussParams,
-    complex_power_tracked,
-    gauss2f1_terminating,
-    tracked_log,
-    tracked_power,
-)
-
-
-class Chart:
-    """Contour points r with what every level's shifted-line eigenfunction
-    derives from them: sinh r and cosh r, Eckart's argument z = (1 - coth r)/2,
-    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
-
-    sinh r and cosh r are computed on construction, the rest on first use and
-    then kept, so a model pays only for what its eigenfunction reads and a
-    failing check raises in the level that first needs it.
-    """
-
-    def __init__(self, r) -> None:
-        r = np.asarray(r, dtype=complex)
-        self.scalar = r.ndim == 0
-        self.r = np.atleast_1d(r)
-        self.sh = np.sinh(self.r)
-        self.ch = np.cosh(self.r)
-
-    @cached_property
-    def _vanishing(self) -> tuple:
-        return bool(np.any(np.abs(self.sh) < 1e-12)), bool(np.any(np.abs(self.ch) < 1e-12))
-
-    def check(self, cosh_too: bool = False) -> None:
-        """SingularPoint where sinh r (and, with ``cosh_too``, cosh r) vanishes."""
-        sinh_vanishes, cosh_vanishes = self._vanishing
-        if sinh_vanishes or (cosh_too and cosh_vanishes):
-            what = "sinh r or cosh r" if cosh_too else "sinh r"
-            raise SingularPoint(f"{what} vanishes on the evaluation set")
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return 0.5 * (1.0 - self.ch / self.sh)
-
-    @cached_property
-    def minus_sh2(self) -> np.ndarray:
-        return -(self.sh**2)
-
-    @cached_property
-    def log_sh(self) -> np.ndarray:
-        return tracked_log(self.sh)
-
-    @cached_property
-    def log_ch(self) -> np.ndarray:
-        return tracked_log(self.ch)
-
-    def out(self, psi: np.ndarray):
-        """``psi`` as the caller's points came in: a complex for a single point."""
-        return complex(psi[0]) if self.scalar else psi
+from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
 
 
 class SampledContour:
@@ -142,24 +87,9 @@ class SampledContour:
 
 # ---- shifted-line eigenfunctions ---------------------------------------------------
 
-def _on_line(p, level: Level, r, cosh_too: bool = False) -> Chart:
-    """Shared preamble of the shifted-line eigenfunctions.
-
-    Checks the level against ``p``, takes the Chart of the points ``r`` (``r``
-    itself if it is one) and rejects points where sinh r (and, with
-    ``cosh_too``, cosh r) vanishes.
-    """
-    check_level(p, level)
-    chart = r if isinstance(r, Chart) else Chart(r)
-    chart.check(cosh_too)
-    return chart
-
-
 def _series(level: Level, z):
     """The level's terminating Gauss series F(a, b; c; z)."""
-    return gauss2f1_terminating(
-        GaussParams(level.internal["a"], level.internal["b"], level.internal["c"], z)
-    )
+    return gauss2f1_terminating(level.internal["a"], level.internal["b"], level.internal["c"], z)
 
 
 def eckart_psi(p: EckartParams, level: Level, r):
@@ -168,7 +98,8 @@ def eckart_psi(p: EckartParams, level: Level, r):
     ``r`` is a scalar or an ordered array of contour points, or their Chart;
     powers are branch-tracked along the order given.
     """
-    chart = _on_line(p, level, r)
+    check_level(p, level)
+    chart = Chart.of(r)
     u, v = level.internal["u"], level.internal["v"]
     f = _series(level, chart.z)
     psi = tracked_power(chart.log_sh, -(u + v)) * np.exp((v - u) * chart.r) * f
@@ -182,7 +113,8 @@ def eckart_psi_second_branch(p: EckartParams, level: Level, r):
     sinh^(u-v) * exp((u+v) r) * z^(2u) * F(a, b; c; z) with the same Gauss
     parameters; it must reproduce eckart_psi up to one overall constant.
     """
-    chart = _on_line(p, level, r)
+    check_level(p, level)
+    chart = Chart.of(r)
     u, v = level.internal["u"], level.internal["v"]
     f = _series(level, chart.z)
     psi = (
@@ -199,7 +131,8 @@ def pt_psi(p: PTParams, level: Level, r):
 
     ``r`` is a scalar or an ordered array of contour points, or their Chart.
     """
-    chart = _on_line(p, level, r, cosh_too=True)
+    check_level(p, level)
+    chart = Chart.of(r, cosh_too=True)
     f = _series(level, chart.minus_sh2)
     psi = (
         tracked_power(chart.log_sh, level.tau * p.beta + 0.5)
@@ -215,7 +148,8 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
     Re-terminating the second series brings back the same Gauss parameters,
     so this reproduces pt_psi up to one overall constant.
     """
-    chart = _on_line(p, level, r, cosh_too=True)
+    check_level(p, level)
+    chart = Chart.of(r, cosh_too=True)
     tb = level.tau * p.beta
     f = _series(level, chart.minus_sh2)
     psi = (
@@ -250,8 +184,7 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
             f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
         )
     chi = pt_psi(pt_params, partner, samples.arch)
-    psi = np.atleast_1d(chi) / samples.sqrt_r1
-    return complex(psi[0]) if samples.t.ndim == 0 else psi
+    return samples.arch.out(np.atleast_1d(chi) / samples.sqrt_r1)
 
 
 # ---- residual check ----------------------------------------------------------------

@@ -317,6 +317,27 @@ def test_liouville_check_tolerance_gate(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+_OVER = str(cli.MAX_SWEEP_VALUES + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sample", "--what", "contour", "--samples", _OVER], "--samples"),
+        (["sample", "--what", "psi", *HULTHEN_ARGS, "--N", "1", "--samples", _OVER], "--samples"),
+        (["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", _OVER], "--n-samples"),
+        (["verify", *PT_ARGS, "--grid-n", _OVER], "--grid-n"),
+        # 2 * window / h + 1 residual points, one over the cap at h = 1e-3
+        (["verify", *PT_ARGS, "--method", "residual", "--grid-L", str(cli.MAX_SWEEP_VALUES * 1e-3 / 2)], "--grid-L"),
+    ],
+)
+def test_sample_grids_over_the_cap_exit_2_before_allocating(argv, option, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and option in err and f"at most {cli.MAX_SWEEP_VALUES}" in err
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_liouville_check_needs_a_positive_sample_count(n, capsys):
     assert run(["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", n]) == 2

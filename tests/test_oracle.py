@@ -242,18 +242,18 @@ def test_dense_solver_sees_fixture_levels():
 def test_match_levels_confirms_fixture_spectra():
     grid = GridSpec(L=12.0, n=1500)
     pt_rep = match_levels(pt_levels(PT_FIXTURE), discretize(PT_FIXTURE, LINE, grid), tol=1e-2)
-    assert len(pt_rep.checks) == 4
-    assert pt_rep.all_passed
-    assert pt_rep.max_im < 1e-3
+    assert len(pt_rep["levels"]) == 4
+    assert pt_rep["all_passed"]
+    assert pt_rep["max_im"] < 1e-3
     eck_rep = match_levels(
         eckart_levels(ECKART_FIXTURE), discretize(ECKART_FIXTURE, LINE, grid), tol=1e-2
     )
-    assert len(eck_rep.checks) == 3
-    assert eck_rep.all_passed
-    assert eck_rep.max_im < 1e-3
-    for c in pt_rep.checks + eck_rep.checks:
-        assert c.abs_delta < 1e-2
-        assert c.iterations >= 2
+    assert len(eck_rep["levels"]) == 3
+    assert eck_rep["all_passed"]
+    assert eck_rep["max_im"] < 1e-3
+    for c in pt_rep["levels"] + eck_rep["levels"]:
+        assert c["abs_delta"] < 1e-2
+        assert c["iterations"] >= 2
 
 
 def test_match_levels_rejects_tampered_energy():
@@ -262,8 +262,8 @@ def test_match_levels_rejects_tampered_energy():
     bad = dataclasses.replace(spec.levels[0], energy=spec.levels[0].energy + 0.5)
     spec_bad = dataclasses.replace(spec, levels=[bad])
     rep = match_levels(spec_bad, discretize(ECKART_FIXTURE, LINE, grid), tol=1e-2)
-    assert not rep.all_passed
-    assert rep.checks[0].abs_delta > 0.3
+    assert not rep["all_passed"]
+    assert rep["levels"][0]["abs_delta"] > 0.3
 
 
 def test_numeric_levels_insensitive_to_contour_shift():
@@ -272,25 +272,25 @@ def test_numeric_levels_insensitive_to_contour_shift():
     for eps in (0.3, 0.7):
         p = PTParams(PT_FIXTURE.alpha, PT_FIXTURE.beta, eps)
         reports[eps] = match_levels(pt_levels(p), discretize(p, ShiftedLine(eps), grid), tol=1e-2)
-    for c3, c7 in zip(reports[0.3].checks, reports[0.7].checks):
-        assert (c3.N, c3.sigma, c3.tau) == (c7.N, c7.sigma, c7.tau)
-        assert abs(c3.energy_numeric - c7.energy_numeric) < 2e-2
-    assert reports[0.3].all_passed and reports[0.7].all_passed
+    for c3, c7 in zip(reports[0.3]["levels"], reports[0.7]["levels"]):
+        assert (c3["N"], c3["sigma"], c3["tau"]) == (c7["N"], c7["sigma"], c7["tau"])
+        assert abs(complex(*c3["energy_numeric"]) - complex(*c7["energy_numeric"])) < 2e-2
+    assert reports[0.3]["all_passed"] and reports[0.7]["all_passed"]
 
 
 def test_report_serialization():
     grid = GridSpec(L=12.0, n=800)
-    rep = match_levels(pt_levels(PT_FIXTURE), discretize(PT_FIXTURE, LINE, grid), tol=5e-2)
-    d = rep.to_dict()
+    d = match_levels(pt_levels(PT_FIXTURE), discretize(PT_FIXTURE, LINE, grid), tol=5e-2)
     assert d["model"] == "pt"
     assert d["grid"] == {"L": 12.0, "n": 800, "h": grid.h}
     assert d["seed"] == DEFAULT_SEED
     assert "no external reference values" in d["tol_source"]
-    assert d["all_passed"] == rep.all_passed
-    assert d["max_im"] == rep.max_im
+    assert d["all_passed"] == all(r["passed"] for r in d["levels"])
+    assert d["max_im"] == max(r["im_abs"] for r in d["levels"])
     lc = d["levels"][0]
-    c0 = rep.checks[0]
-    assert lc["energy_numeric"] == [c0.energy_numeric.real, c0.energy_numeric.imag]
+    e0 = complex(*lc["energy_numeric"])
+    assert lc["energy_numeric"] == [e0.real, e0.imag]
+    assert lc["im_abs"] == abs(e0.imag) and lc["abs_delta"] == abs(e0 - lc["energy_analytic"])
     assert set(lc) == {
         "N",
         "sigma",
@@ -331,11 +331,11 @@ def test_fine_grid_fixtures_converge_in_few_steps(n):
     for params, levels in ((PT_FIXTURE, pt_levels), (ECKART_FIXTURE, eckart_levels)):
         opr = discretize(params, LINE, grid)
         rep = match_levels(levels(params), opr, tol=1e-2)
-        assert rep.all_passed
+        assert rep["all_passed"]
         floor = residual_floor(opr)
-        for c in rep.checks:
-            assert c.iterations <= 4
-            assert _backward_error(opr, c.energy_numeric) <= floor
+        for c in rep["levels"]:
+            assert c["iterations"] <= 4
+            assert _backward_error(opr, complex(*c["energy_numeric"])) <= floor
 
 
 # ---- convergence order ------------------------------------------------------------

@@ -16,7 +16,6 @@ from helpers import (
 )
 from ptspec.errors import NonTerminating, PhaseJump, PoleInC, ZeroBase
 from ptspec.specfun import (
-    GaussParams,
     complex_power_tracked,
     gauss2f1_terminating,
     jacobi_poly,
@@ -31,14 +30,14 @@ from ptspec.specfun import (
 
 def test_gauss_b_zero_is_one():
     for z in (0.3 + 0.1j, -2.0, 5.0 + 5.0j):
-        assert gauss2f1_terminating(GaussParams(1.7 - 0.3j, 0.0, 1.0, z)) == 1.0
+        assert gauss2f1_terminating(1.7 - 0.3j, 0.0, 1.0, z) == 1.0
 
 
 def test_gauss_degree_one_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(5):
         z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-        got = gauss2f1_terminating(GaussParams(2.0, -1.0, 1.0, z))
+        got = gauss2f1_terminating(2.0, -1.0, 1.0, z)
         assert got == pytest.approx(1.0 - 2.0 * z, rel=1e-15)
 
 
@@ -49,7 +48,7 @@ def test_gauss_two_term_value_matches_horner():
     rng = np.random.default_rng(2)
     for _ in range(10):
         z = rng.uniform(-3, 3) + 1j * rng.uniform(-3, 3)
-        got = gauss2f1_terminating(GaussParams(a, b, c, z))
+        got = gauss2f1_terminating(a, b, c, z)
         horner = 1.0 + (a * b / c) * z
         assert got == pytest.approx(horner, rel=1e-14)
 
@@ -61,7 +60,7 @@ def test_gauss_matches_direct_term_sum():
         a = rng.uniform(-3, 3) + 1j * rng.uniform(-2, 2)
         c = rng.uniform(0.5, 3) + 1j * rng.uniform(-2, 2)
         z = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
-        got = gauss2f1_terminating(GaussParams(a, -float(n), c, z))
+        got = gauss2f1_terminating(a, -float(n), c, z)
         want = gauss_sum_direct(a, -n, c, z, n)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
@@ -70,44 +69,44 @@ def test_gauss_is_polynomial_of_stated_degree():
     # fit the four coefficients on four nodes, then predict five fresh points
     a, b, c = -3.0, 1.3 + 0.4j, 0.9 - 0.2j
     nodes = np.array([0.1, 0.6 + 0.3j, -0.8, 1.1 - 0.5j])
-    vals = np.array([gauss2f1_terminating(GaussParams(a, b, c, z)) for z in nodes])
+    vals = np.array([gauss2f1_terminating(a, b, c, z) for z in nodes])
     coeffs = np.linalg.solve(np.vander(nodes, 4, increasing=True), vals)
     rng = np.random.default_rng(4)
     for _ in range(5):
         z = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        got = gauss2f1_terminating(GaussParams(a, b, c, z))
+        got = gauss2f1_terminating(a, b, c, z)
         want = sum(coeffs[k] * z**k for k in range(4))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_gauss_nonterminating_raises():
     with pytest.raises(NonTerminating):
-        gauss2f1_terminating(GaussParams(1.5, 2.3, 1.0, 0.5))
+        gauss2f1_terminating(1.5, 2.3, 1.0, 0.5)
 
 
 def test_gauss_near_integer_within_tolerance_still_terminates():
-    nudged = gauss2f1_terminating(GaussParams(2.0, -2.0 + 5e-13, 1.2, 0.7))
-    exact = gauss2f1_terminating(GaussParams(2.0, -2.0, 1.2, 0.7))
+    nudged = gauss2f1_terminating(2.0, -2.0 + 5e-13, 1.2, 0.7)
+    exact = gauss2f1_terminating(2.0, -2.0, 1.2, 0.7)
     assert nudged == pytest.approx(exact, rel=1e-10)
     with pytest.raises(NonTerminating):
-        gauss2f1_terminating(GaussParams(2.0, -2.0 + 1e-6, 1.2, 0.7))
+        gauss2f1_terminating(2.0, -2.0 + 1e-6, 1.2, 0.7)
 
 
 def test_gauss_pole_in_c_raises():
     with pytest.raises(PoleInC):
-        gauss2f1_terminating(GaussParams(-5.0, 1.3, -3.0, 0.5))
+        gauss2f1_terminating(-5.0, 1.3, -3.0, 0.5)
 
 
 def test_gauss_pole_beyond_termination_is_harmless():
     # c = -3 poles the series only at term 4; termination at N = 2 never gets there
-    got = gauss2f1_terminating(GaussParams(1.2, -2.0, -3.0, 0.5))
+    got = gauss2f1_terminating(1.2, -2.0, -3.0, 0.5)
     want = gauss_sum_direct(1.2, -2, -3.0, 0.5, 2)
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_gauss_array_argument():
     z = np.array([0.1, 0.2 + 0.3j, -0.5])
-    got = gauss2f1_terminating(GaussParams(2.0, -1.0, 1.0, z))
+    got = gauss2f1_terminating(2.0, -1.0, 1.0, z)
     assert got.shape == z.shape
     assert np.allclose(got, 1.0 - 2.0 * z)
 
@@ -168,7 +167,7 @@ def test_jacobi_hypergeometric_bridge():
         right = (
             rising(a + 1.0, n)
             / math.factorial(n)
-            * gauss2f1_terminating(GaussParams(-float(n), n + a + b + 1.0, a + 1.0, s))
+            * gauss2f1_terminating(-float(n), n + a + b + 1.0, a + 1.0, s)
         )
         assert abs(left - right) / max(1.0, abs(left)) < 1e-11
 

@@ -11,9 +11,8 @@ import pytest
 from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE, uniform_grid
 from ptspec.contour import ArchContour, ShiftedLine, liouville_derivatives, arch_point
 from ptspec.errors import GridTooCoarse, LevelMismatch, SingularPoint
-from ptspec.models import PTParams, potential_fn
+from ptspec.models import PTParams, potential_fn, v_eckart, v_hulthen, v_pt
 from ptspec.specfun import (
-    GaussParams,
     complex_power_tracked,
     gauss2f1_terminating,
     jacobi_poly,
@@ -125,7 +124,7 @@ def test_pt_series_factor_is_a_jacobi_polynomial():
     r = LINE.point(np.linspace(-4.0, 4.0, 161))
     for lv in pt_levels(p).levels:
         f = gauss2f1_terminating(
-            GaussParams(lv.internal["a"], lv.internal["b"], lv.internal["c"], -np.sinh(r) ** 2)
+            lv.internal["a"], lv.internal["b"], lv.internal["c"], -np.sinh(r) ** 2
         )
         aj = lv.tau * p.beta
         bj = lv.sigma * p.alpha
@@ -143,7 +142,7 @@ def test_eckart_series_factor_is_a_jacobi_polynomial():
     w = np.cosh(r) / np.sinh(r)
     for lv in eckart_levels(p).levels:
         f = gauss2f1_terminating(
-            GaussParams(lv.internal["a"], lv.internal["b"], lv.internal["c"], 0.5 * (1.0 - w))
+            lv.internal["a"], lv.internal["b"], lv.internal["c"], 0.5 * (1.0 - w)
         )
         u, v = lv.internal["u"], lv.internal["v"]
         want = (
@@ -275,6 +274,42 @@ def test_psi_scalar_evaluation():
     assert isinstance(got, complex)
     arr = eckart_psi(ECKART_FIXTURE, eck, np.array([1.0 - 0.5j]))
     assert got == arr[0]
+
+
+def _scalar_cases() -> dict:
+    """name -> (function of one argument, points to call it at)."""
+    rng = np.random.default_rng(7)
+    line = LINE.point(rng.uniform(-4.0, 4.0, 100))
+    disk = rng.uniform(0.1, 0.9, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    arch = ARCH.point(rng.uniform(-4.0, 4.0, 100))
+    eck = eckart_levels(ECKART_FIXTURE).levels[1]
+    pt = pt_levels(PT_FIXTURE).levels[1]
+    hul = hulthen_levels(HULTHEN_FIXTURE).levels[1]
+    return {
+        "gauss2f1_terminating": (lambda z: gauss2f1_terminating(2.3 - 0.4j, -3.0, 1.7 + 0.2j, z), disk),
+        "jacobi_poly": (lambda z: jacobi_poly(4, 1.3 - 0.2j, -0.7 + 0.5j, z), disk),
+        "liouville_derivatives": (liouville_derivatives, arch),
+        "complex_power_tracked": (lambda z: complex_power_tracked(z, 0.7 - 0.3j), disk),
+        "v_eckart": (lambda r: v_eckart(ECKART_FIXTURE, r), line),
+        "v_pt": (lambda r: v_pt(PT_FIXTURE, r), line),
+        "v_hulthen": (lambda xi: v_hulthen(HULTHEN_FIXTURE, xi), arch),
+        "eckart_psi": (lambda r: eckart_psi(ECKART_FIXTURE, eck, r), line),
+        "pt_psi": (lambda r: pt_psi(PT_FIXTURE, pt, r), line),
+        "hulthen_psi": (lambda t: hulthen_psi(HULTHEN_FIXTURE, hul, t, 0.5), rng.uniform(-4.0, 4.0, 20)),
+    }
+
+
+def _parts(out) -> tuple:
+    """liouville_derivatives gives the tuple (r, r', r'', r'''), the others one value."""
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("name", sorted(_scalar_cases()))
+def test_scalar_input_gives_the_one_element_array_value(name):
+    f, points = _scalar_cases()[name]
+    for z in points:
+        for got, want in zip(_parts(f(z)), _parts(f(np.array([z])))):
+            assert type(got) is complex and got == want[0], z
 
 
 def test_level_samples_dispatch():
