@@ -8,7 +8,7 @@ them, and an independent finite-difference/residual verification stack.
 
 from .contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
 from .errors import PtspecError
-from .liouville import ArchSamples, transform_potential, verify_hulthen_identity
+from .liouville import transform_potential, verify_hulthen_identity
 from .models import (
     EckartParams,
     HulthenParams,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchContour",
-    "ArchSamples",
     "DEFAULT_SEED",
     "EckartParams",
     "GridSpec",

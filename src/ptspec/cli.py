@@ -17,7 +17,7 @@ import numpy as np
 from . import oracle
 from .contour import ArchContour, ShiftedLine
 from .errors import PtspecError
-from .liouville import ArchSamples, verify_hulthen_identity
+from .liouville import verify_hulthen_identity
 from .models import MODELS, potential_fn
 from .spectra import family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import SampledContour, level_samples, residual_check
@@ -241,10 +241,11 @@ def cmd_liouville_check(args) -> int:
     _check_points("--n-samples", n_samples)
     tol = float(_resolve(args, "tol", 1e-9))
 
-    samples = ArchSamples(model, n_samples, eps)
+    samples = SampledContour(ArchContour(eps), np.linspace(-10.0, 10.0, n_samples), potential_fn(model))
+    samples.derivatives, samples.v  # built and checked before the levels, even if there are none
     per_level = []
     for lv in spectrum_of(model).levels:
-        dev = verify_hulthen_identity(samples, lv)
+        dev = verify_hulthen_identity(model, samples, lv)
         per_level.append(
             {
                 "sigma": lv.sigma,

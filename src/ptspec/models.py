@@ -52,6 +52,9 @@ class Chart:
         self.sh = np.sinh(self.r)
         self.ch = np.cosh(self.r)
 
+    def __len__(self) -> int:
+        return len(self.r)
+
     @classmethod
     def of(cls, r, cosh_too: bool = False) -> Chart:
         """The Chart of points ``r`` (``r`` itself if it is one); SingularPoint
@@ -130,6 +133,8 @@ class HulthenParams:
         _check_finite(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ValueError(f"alpha={self.alpha} is too large: A = 1 - alpha^2 overflows")
 
     @property
     def A(self) -> float:

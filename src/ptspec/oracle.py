@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 3 or self.L <= 0:
             raise ValueError("need n >= 3 interior points and L > 0")
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
+            raise ValueError(f"grid step h={self.h:g} is too small: 1/h^2 is not finite")
 
     @property
     def h(self) -> float:

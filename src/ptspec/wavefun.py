@@ -7,9 +7,10 @@ scaled residuals), since overall constants are meaningless here.
 What does not depend on the level is built once per set of points and
 shared by every level: a ``models.Chart`` holds the sinh/cosh arrays of the
 shifted-line eigenfunctions, a ``SampledContour`` the contour at its
-parameter values t together with the residual stencil's geometry and
-potential.  Wherever points go in, their Chart or SampledContour may go in
-instead; plain points get their own, and the same per-level code runs.
+parameter values t with the potential, the residual stencil's geometry and,
+on the arch, the inverse map that the Liouville identity check reads too.
+Wherever points go in, their Chart or SampledContour may go in instead;
+plain points get their own, and the same per-level code runs.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
 
 
 class SampledContour:
-    """A contour at parameter values t, with what every level's eigenfunction
-    and residual check share there.
+    """A contour at parameter values t, with what every level's eigenfunction,
+    residual check and Liouville identity check share there.
 
-    ``potential`` is the model's potential as a callable on contour points.
-    The shifted-line eigenfunctions read ``line``, the Chart of xi(t); the
-    arch eigenfunction reads ``arch``, the Chart of the inverse map r(xi),
-    and r'^(1/2).  Arrays are computed on first use and kept, as in Chart.
+    ``potential`` is the model's potential as a callable on contour points,
+    and ``v`` its values at ``xi``.  The shifted-line eigenfunctions read
+    ``line``, the Chart of xi(t); the arch eigenfunction reads ``arch``, the
+    Chart of the inverse map r(xi), and r'^(1/2); the identity check reads
+    ``derivatives``.  Arrays are computed on first use and kept, as in Chart.
     """
 
     def __init__(self, contour, t, potential) -> None:
@@ -46,6 +48,10 @@ class SampledContour:
     @cached_property
     def xi(self) -> np.ndarray:
         return self.contour.point(self.t)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return np.asarray(self.potential(self.xi), dtype=complex)
 
     @cached_property
     def line(self) -> Chart:
@@ -62,6 +68,17 @@ class SampledContour:
     @cached_property
     def sqrt_r1(self) -> np.ndarray | complex:
         return complex_power_tracked(self._inverse_map[1], 0.5)
+
+    @cached_property
+    def derivatives(self) -> tuple:
+        """The inverse map's (r, r', r'', r''') with r as its Chart ``arch``, once
+        its building blocks sinh^2 r = -e^{2i xi} and cosh^2 r = 1 - e^{2i xi} check out."""
+        q = np.exp(2j * self.xi)
+        off = np.maximum(np.abs(self.arch.sh**2 + q), np.abs(self.arch.ch**2 - (1.0 - q)))
+        piece = float(np.max(off / np.maximum(1.0, np.abs(q))))
+        if piece > 1e-9:
+            raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
+        return (self.arch, *self._inverse_map[1:])
 
     @cached_property
     def h(self) -> float:
@@ -81,8 +98,7 @@ class SampledContour:
         tc = self.t[2:-2]
         xp = np.asarray(self.contour.dpoint(tc), dtype=complex)
         xpp = np.asarray(self.contour.d2point(tc), dtype=complex)
-        v = np.asarray(self.potential(self.xi[2:-2]), dtype=complex)
-        return xp**2, xpp, xp**3, v
+        return xp**2, xpp, xp**3, self.v[2:-2]
 
 
 # ---- shifted-line eigenfunctions ---------------------------------------------------

@@ -25,7 +25,7 @@ from helpers import (
     uniform_grid,
 )
 from ptspec.contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
-from ptspec.liouville import ArchSamples, transform_potential, verify_hulthen_identity
+from ptspec.liouville import transform_potential, verify_hulthen_identity
 from ptspec.models import (
     EckartParams,
     HulthenParams,
@@ -147,10 +147,8 @@ def test_criterion_3_hulthen_table_positive_energies_and_residuals():
 
 def test_criterion_4_change_of_variables_identity():
     spec = hulthen_levels(HULTHEN_FIXTURE)
-    per_level = max(
-        verify_hulthen_identity(ArchSamples(HULTHEN_FIXTURE), lv)
-        for lv in spec.levels
-    )
+    samples = SampledContour(ARCH, np.linspace(-10.0, 10.0, 100), potential_fn(HULTHEN_FIXTURE))
+    per_level = max(verify_hulthen_identity(HULTHEN_FIXTURE, samples, lv) for lv in spec.levels)
     xi = arch_point(np.linspace(-10.0, 10.0, 100), 0.5)
     fulls = []
     for lv in spec.levels:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -354,6 +355,9 @@ def test_liouville_check_rejects_a_bad_shift_without_levels(capsys):
     # levels gets its shift checked too
     assert run(["liouville-check", "--alpha", "0.5", "--C", "1", "--eps", "2"]) == 2
     assert "epsilon=2.0 not in (0, pi/2)" in capsys.readouterr().err
+    # and the inverse map built: at the largest shift below pi/2, t = 0 sits on its branch point
+    assert run(["liouville-check", "--alpha", "0.5", "--C", "1", "--eps", "1.5707963267948963", "--n-samples", "101"]) == 2
+    assert "branch point of the inverse map" in capsys.readouterr().err
 
 
 # ---- config, environment, entry points ----------------------------------------
@@ -453,6 +457,25 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "spectrum_of", broken)
     assert run(["spectrum", *ECKART_ARGS]) == 2
     assert capsys.readouterr().err == "error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["liouville-check", "--alpha", "1e300", "--C", "4.3"], "alpha=1e+300 is too large"),
+        (["sample", "--what", "potential", "--model", "hulthen", "--alpha", "1e300", "--C", "4.3", "--samples", "5"],
+         "alpha=1e+300 is too large"),
+        (["verify", "--model", "pt", "--alpha", "1.7", "--beta", "12", "--method", "fd",
+          "--grid-L", "1e-300", "--grid-n", "100"], "1/h^2 is not finite"),
+    ],
+    ids=["liouville-check", "sample-potential", "verify-fd"],
+)
+def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert not re.match(r"error: [A-Za-z]+Error: ", err)
 
 
 _JSON = st.recursive(

@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 from helpers import HULTHEN_FIXTURE
-from ptspec.contour import arch_point, liouville_derivatives
+from ptspec import wavefun
+from ptspec.contour import ArchContour, arch_point, liouville_derivatives
 from ptspec.errors import LevelMismatch, VanishingJacobian
-from ptspec.liouville import ArchSamples, transform_potential, verify_hulthen_identity
-from ptspec.models import HulthenParams, PTParams, v_hulthen, v_pt
+from ptspec.liouville import transform_potential, verify_hulthen_identity
+from ptspec.models import HulthenParams, PTParams, potential_fn, v_hulthen, v_pt
 from ptspec.spectra import hulthen_levels
+from ptspec.wavefun import SampledContour
+
+
+def _arch_samples(p):
+    """The arch as ``liouville-check`` samples it by default."""
+    return SampledContour(ArchContour(0.5), np.linspace(-10.0, 10.0, 100), potential_fn(p))
 
 
 def _identity_map(xi):
@@ -60,7 +67,7 @@ def test_vanishing_jacobian_is_rejected():
 def test_screened_well_emerges_from_the_transform():
     p = HULTHEN_FIXTURE
     for lv in hulthen_levels(p).levels:
-        dev = verify_hulthen_identity(ArchSamples(p), lv)
+        dev = verify_hulthen_identity(p, _arch_samples(p), lv)
         assert dev < 1e-9
 
 
@@ -108,7 +115,7 @@ def test_identity_holds_across_random_parameters():
     while checked < 30:
         p = HulthenParams(alpha=rng.uniform(0.1, 3.0), C=rng.uniform(-20.0, -0.5))
         for lv in hulthen_levels(p).levels:
-            assert verify_hulthen_identity(ArchSamples(p), lv) < 1e-8
+            assert verify_hulthen_identity(p, _arch_samples(p), lv) < 1e-8
             checked += 1
             if checked >= 30:
                 break
@@ -117,10 +124,19 @@ def test_identity_holds_across_random_parameters():
 
 def test_identity_rejects_foreign_level():
     lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
+    other = HulthenParams(0.6, HULTHEN_FIXTURE.C)
     with pytest.raises(LevelMismatch):
-        verify_hulthen_identity(ArchSamples(HulthenParams(0.6, HULTHEN_FIXTURE.C)), lv)
+        verify_hulthen_identity(other, _arch_samples(other), lv)
     with pytest.raises(LevelMismatch):
         verify_hulthen_identity(
-            ArchSamples(HULTHEN_FIXTURE),
+            HULTHEN_FIXTURE,
+            _arch_samples(HULTHEN_FIXTURE),
             dataclasses.replace(lv, energy=lv.energy + 1.0),
         )
+
+
+def test_displaced_inverse_map_fails_the_algebra_check(monkeypatch):
+    monkeypatch.setattr(wavefun, "liouville_derivatives", _shifted_target)
+    lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
+    with pytest.raises(RuntimeError, match="inverse-map algebra broken"):
+        verify_hulthen_identity(HULTHEN_FIXTURE, _arch_samples(HULTHEN_FIXTURE), lv)

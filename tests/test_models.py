@@ -40,6 +40,8 @@ def test_pt_params_validation():
 def test_hulthen_params_validation_and_derived_couplings():
     with pytest.raises(ValueError):
         HulthenParams(alpha=-0.5, C=-9.0)
+    with pytest.raises(ValueError, match="A = 1 - alpha\\^2 overflows"):
+        HulthenParams(alpha=1e300, C=4.3)
     p = HULTHEN_FIXTURE
     assert p.A == pytest.approx(1.0 - 0.25)
     assert p.B == pytest.approx(-9.0 - 0.75)

@@ -47,6 +47,10 @@ def test_grid_spec_validation_and_geometry():
         GridSpec(L=8.0, n=2)
     with pytest.raises(ValueError):
         GridSpec(L=0.0, n=100)
+    with pytest.raises(ValueError, match="1/h\\^2 is not finite"):
+        GridSpec(L=1e-300, n=100)  # h^2 underflows to 0
+    with pytest.raises(ValueError, match="1/h\\^2 is not finite"):
+        GridSpec(L=1e-155, n=100)  # h^2 is subnormal and 1/h^2 overflows
     g = GridSpec(L=8.0, n=127)
     assert g.h == pytest.approx(16.0 / 128.0)
     pts = g.points()

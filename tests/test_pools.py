@@ -1,9 +1,12 @@
 """What the benchmark in ``bench/`` relies on, checked without running it.
 
-* Pool digests: the first entry of every digest-carrying stratum of the
-  ``residual-scan`` and ``cli-cold`` pools, replayed in process with its
-  PTSPEC_SEED, must print the bytes the pool recorded.  These are the outputs
-  a benchmark run counts as failed when they move.
+* Pool replay: every digest entry of the ``residual-scan`` and ``cli-cold``
+  pools, replayed in process with its PTSPEC_SEED, must print the bytes the
+  pool recorded, and every FD entry of the ``fd-grid`` and ``cli-cold`` pools
+  must exit with the code it exits with today.  A benchmark run counts a
+  moved digest as a failed request, and an FD request's exit code is what
+  its failure share counts.  (The ``export`` pool takes about half a minute
+  in process, so it is replayed by hand, not here.)
 * The tracing table: every ``(module, function)`` that ``bench/tracing.py``
   wraps must exist, and the arguments its facts read by position must still
   be the points arguments.  A renamed or reordered function would otherwise
@@ -25,29 +28,55 @@ import pytest
 
 from ptspec.cli import run
 from ptspec.contour import ArchContour, ShiftedLine
+from ptspec.models import Chart
 from ptspec.spectra import spectrum_of
 
 from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
+#: exit codes of the fd-grid pool's entries, strata in sorted order: 111 pass (0),
+#: 79 fail a level (1) and 2 are refused (2)
+FD_GRID_CODES = (
+    "111111111111000000000000111111111000000000000002111111111111110000110000010100111211111111100111"
+    "110000000000000000000000111000000000000000000000111111000000000000001000111111110000000100101101"
+)
 
-def _first_digest_entries():
-    for name in ("residual-scan", "cli-cold"):
-        pool = json.loads((BENCH / "pools" / f"{name}.json").read_text())
-        for stratum, entries in sorted(pool["strata"].items()):
-            if entries[0]["sha256"] is not None:
-                yield pytest.param(entries[0], id=f"{name}/{stratum}")
+
+def _pool(name: str) -> dict:
+    return json.loads((BENCH / "pools" / f"{name}.json").read_text())
 
 
-@pytest.mark.parametrize("entry", _first_digest_entries())
-def test_pool_entry_prints_its_recorded_bytes(entry, capsys, monkeypatch):
+def _replay(entry, monkeypatch, capsys) -> tuple:
+    """Exit code and stdout bytes of one pool entry, run with its PTSPEC_SEED."""
     monkeypatch.delenv("PTSPEC_SEED", raising=False)
     if entry.get("ptspec_seed") is not None:
         monkeypatch.setenv("PTSPEC_SEED", str(entry["ptspec_seed"]))
     code = run(list(entry["argv"]))
-    stdout = capsys.readouterr().out.encode()
-    assert hashlib.sha256(b"%d\n" % code + stdout).hexdigest() == entry["sha256"]
+    return code, capsys.readouterr().out.encode()
+
+
+def _digest_strata():
+    for name in ("residual-scan", "cli-cold"):
+        for stratum, entries in sorted(_pool(name)["strata"].items()):
+            if entries[0]["sha256"] is not None:
+                yield pytest.param(entries, id=f"{name}/{stratum}")
+
+
+@pytest.mark.parametrize("entries", _digest_strata())
+def test_pool_entry_prints_its_recorded_bytes(entries, capsys, monkeypatch):
+    for i, entry in enumerate(entries):
+        code, stdout = _replay(entry, monkeypatch, capsys)
+        assert hashlib.sha256(b"%d\n" % code + stdout).hexdigest() == entry["sha256"], f"entry {i}: {entry['argv']}"
+
+
+@pytest.mark.parametrize(
+    "name, codes",
+    [pytest.param("fd-grid", FD_GRID_CODES, id="fd-grid"), pytest.param("cli-cold", "0" * 12, id="cli-cold")],
+)
+def test_fd_pool_entries_keep_their_exit_codes(name, codes, capsys, monkeypatch):
+    entries = [e for _, es in sorted(_pool(name)["strata"].items()) for e in es if e["sha256"] is None]
+    assert "".join(str(_replay(e, monkeypatch, capsys)[0]) for e in entries) == codes
 
 
 @pytest.fixture(scope="module")
@@ -67,32 +96,34 @@ def test_every_traced_function_exists(tracing):
 _N_POINTS = 7
 
 
-def _points_calls():
-    """A call with _N_POINTS points for every function whose facts count points."""
+def _points_calls(points):
+    """A call with _N_POINTS points for every function whose facts count points;
+    ``points`` makes the shifted-line points (plain or a Chart)."""
     t = np.linspace(-3.0, 3.0, _N_POINTS)
     line, arch = ShiftedLine(0.5), ArchContour(0.5)
     eck, pt, hul = (spectrum_of(p).levels[0] for p in (ECKART_FIXTURE, PT_FIXTURE, HULTHEN_FIXTURE))
     return {
-        "eckart_psi": (ECKART_FIXTURE, eck, line.point(t)),
-        "eckart_psi_second_branch": (ECKART_FIXTURE, eck, line.point(t)),
-        "pt_psi": (PT_FIXTURE, pt, line.point(t)),
-        "pt_psi_second_branch": (PT_FIXTURE, pt, line.point(t)),
+        "eckart_psi": (ECKART_FIXTURE, eck, points(line.point(t))),
+        "eckart_psi_second_branch": (ECKART_FIXTURE, eck, points(line.point(t))),
+        "pt_psi": (PT_FIXTURE, pt, points(line.point(t))),
+        "pt_psi_second_branch": (PT_FIXTURE, pt, points(line.point(t))),
         "hulthen_psi": (HULTHEN_FIXTURE, hul, t, 0.5),
         "level_samples": (HULTHEN_FIXTURE, hul, arch, t),
-        "v_eckart": (ECKART_FIXTURE, line.point(t)),
-        "v_pt": (PT_FIXTURE, line.point(t)),
+        "v_eckart": (ECKART_FIXTURE, points(line.point(t))),
+        "v_pt": (PT_FIXTURE, points(line.point(t))),
         "v_hulthen": (HULTHEN_FIXTURE, arch.point(t)),
     }
 
 
 def test_traced_points_arguments_are_the_points(tracing):
-    calls = _points_calls()
     counted = {
         (module, name): span for (module, name), span in tracing.TRACED.items()
         if span in ("wavefun.psi", "wavefun.level_samples", "models.potential")
     }
-    assert {name for _, name in counted} == set(calls)
-    for (module, name), span in counted.items():
-        tracer = tracing.Tracer()
-        tracer.wrap(span, getattr(importlib.import_module(module), name))(*calls[name])
-        assert tracer.spans[0].facts == {"points": _N_POINTS}, f"{module}.{name}"
+    for points in (np.asarray, Chart):
+        calls = _points_calls(points)
+        assert {name for _, name in counted} == set(calls)
+        for (module, name), span in counted.items():
+            tracer = tracing.Tracer()
+            tracer.wrap(span, getattr(importlib.import_module(module), name))(*calls[name])
+            assert tracer.spans[0].facts == {"points": _N_POINTS}, f"{module}.{name} on {points.__name__}"
