@@ -242,7 +242,7 @@ def cmd_liouville_check(args) -> int:
     tol = float(_resolve(args, "tol", 1e-9))
 
     samples = SampledContour(ArchContour(eps), np.linspace(-10.0, 10.0, n_samples), potential_fn(model))
-    samples.derivatives, samples.v  # built and checked before the levels, even if there are none
+    samples.inverse_map  # built and checked before the levels, even if there are none
     per_level = []
     for lv in spectrum_of(model).levels:
         dev = verify_hulthen_identity(model, samples, lv)

@@ -1,19 +1,24 @@
-"""Integration contours in the complex coordinate plane.
+"""Integration contours in the complex coordinate plane and charts of their points.
 
 Two contours are used: a straight line shifted below the real axis,
 r = t - i*eps, and an arch-shaped path xi(t) that is the image of the
 shifted line under the coordinate change sinh r = -i * exp(i*xi).
-Both expose the same (point, dpoint, d2point) interface.
+Both expose the same (point, dpoint, d2point) interface.  A chart holds
+points with the transcendental arrays derived from them, each made once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint
+from .errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint, VanishingJacobian
+from .specfun import tracked_log
+
+_SINGULAR_TOL = 1e-12
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -78,32 +83,117 @@ class ArchContour:
         return 1j / np.sinh(r) ** 2
 
 
+class Chart:
+    """Contour points r with what the sinh/cosh potentials and shifted-line
+    eigenfunctions derive from them: sinh r, cosh r, Eckart's z = (1 - coth r)/2,
+    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
+
+    sinh r and cosh r (or the caller's ``ch``) are computed on construction,
+    the rest on first use and then kept, so a model pays only for what it
+    reads and a failing check raises in the level that first needs it.  A
+    single point is held as a one-element array, so it gives exactly the
+    value it has inside an array.
+    """
+
+    def __init__(self, r, ch=None) -> None:
+        r = np.asarray(r, dtype=complex)
+        self.scalar = r.ndim == 0
+        self.r = np.atleast_1d(r)
+        self.sh = np.sinh(self.r)
+        self.ch = np.cosh(self.r) if ch is None else ch
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    @classmethod
+    def of(cls, r, cosh_too: bool = False) -> Chart:
+        """The Chart of points ``r`` (``r`` itself if it is one); SingularPoint
+        where sinh r (and, with ``cosh_too``, cosh r) vanishes."""
+        chart = r if isinstance(r, cls) else cls(r)
+        if chart._vanishing[0] or (cosh_too and chart._vanishing[1]):
+            raise SingularPoint(f"{'sinh r or cosh r' if cosh_too else 'sinh r'} vanishes on the evaluation set")
+        return chart
+
+    @cached_property
+    def _vanishing(self) -> tuple:
+        return tuple(bool(np.any(np.abs(a) < _SINGULAR_TOL)) for a in (self.sh, self.ch))
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return 0.5 * (1.0 - self.ch / self.sh)
+
+    @cached_property
+    def minus_sh2(self) -> np.ndarray:
+        return -(self.sh**2)
+
+    @cached_property
+    def log_sh(self) -> np.ndarray:
+        return tracked_log(self.sh)
+
+    @cached_property
+    def log_ch(self) -> np.ndarray:
+        return tracked_log(self.ch)
+
+    def out(self, values: np.ndarray):
+        """``values`` as the caller's points came in: a complex for a single point."""
+        return complex(values[0]) if self.scalar else values
+
+
+class ArchChart:
+    """Arch points xi with q = e^{2i xi}, checked on construction to keep 1 - q off
+    zero (the map's branch point, the well's pole), and ``inverse`` from first
+    use: r as its Chart, which reuses the map's cosh r, r' and the Jacobian terms,
+    not r'' or r'''.  q may be dropped after its last reader; a later one forms it again.
+    """
+
+    def __init__(self, xi) -> None:
+        xi = np.asarray(xi, dtype=complex)
+        self.scalar = xi.ndim == 0
+        self.xi = np.atleast_1d(xi)
+        if np.any(np.abs(1.0 - self.q) < _SINGULAR_TOL):
+            raise SingularPoint("exp(2i*xi) = 1: branch point of the inverse map")
+
+    def __len__(self) -> int:
+        return len(self.xi)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return np.exp(2j * self.xi)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        return jacobian_terms(*liouville_derivatives(self))
+
+    out = Chart.out
+
+
 def liouville_derivatives(xi):
     """Inverse map r(xi) of the arch change of variables, with derivatives.
 
     Solves sinh r = -i exp(i*xi) on the branch that is continuous along the
     arch and reproduces r(xi(t)) = t - i*eps there.  Returns (r, r', r'', r''')
     with the closed forms r' = i tanh r, r'' = i r'/cosh^2 r and
-    r''' = i (r'' - 2 tanh r * r'^2) / cosh^2 r.
+    r''' = i (r'' - 2 tanh r * r'^2) / cosh^2 r.  ``xi`` is points or their
+    ArchChart; for an ArchChart, r comes back as its Chart.
 
     Raises SingularPoint where exp(2i*xi) = 1 (cosh r vanishes and the
     Jacobian blows up).
     """
-    xi = np.asarray(xi, dtype=complex)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    if np.any(np.abs(1.0 - np.exp(2j * xi)) < 1e-12):
-        raise SingularPoint("exp(2i*xi) = 1: branch point of the inverse map")
-
-    r = np.arcsinh(-1j * np.exp(1j * xi))
+    c = xi if isinstance(xi, ArchChart) else ArchChart(xi)
+    r = np.arcsinh(-1j * np.exp(1j * c.xi))
     th = np.tanh(r)
-    ch2 = np.cosh(r) ** 2
+    ch = np.cosh(r)
     r1 = 1j * th
-    r2 = 1j * r1 / ch2
-    r3 = 1j * (r2 - 2.0 * th * r1**2) / ch2
-    if scalar:
-        return complex(r[0]), complex(r1[0]), complex(r2[0]), complex(r3[0])
-    return r, r1, r2, r3
+    r2 = 1j * r1 / ch**2
+    r3 = 1j * (r2 - 2.0 * th * r1**2) / ch**2
+    return (Chart(r, ch), r1, r2, r3) if c is xi else tuple(map(c.out, (r, r1, r2, r3)))
+
+
+def jacobian_terms(r, r1, r2, r3) -> tuple:
+    """(r, r', r'', r''') -> (r, r', 0.75 (r''/r')^2, 0.5 r'''/r'); VanishingJacobian where r' vanishes."""
+    if np.any(np.abs(np.asarray(r1)) < 1e-12):
+        raise VanishingJacobian("r'(xi) vanishes on the evaluation set")
+    return r, r1, 0.75 * (r2 / r1) ** 2, 0.5 * (r3 / r1)
 
 
 def _check_symmetric_grid(t: np.ndarray) -> None:

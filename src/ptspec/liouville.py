@@ -3,17 +3,15 @@
 Carries a potential W(r) at fixed energy -kappa^2 through an analytic map
 r(xi) and returns the transformed combination V(xi) - E, picking up the
 Schwarzian-like correction from the non-constant Jacobian.  The map enters
-as its values (r, r', r'', r''') at the points xi.  On the arch they are
-``contour.liouville_derivatives(xi)``, which a ``wavefun.SampledContour``
-keeps as ``derivatives`` with r as its ``models.Chart``: every level's v_pt
-reads that one sinh r and cosh r, and the screened well ``v`` once.
+as its values (r, r', r'', r''') at the points xi or, on the arch, as the
+``contour.ArchChart`` that one ``wavefun.SampledContour`` keeps for every level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import VanishingJacobian
+from .contour import ArchChart, jacobian_terms
 from .models import HulthenParams, PTParams, v_pt
 from .spectra import Level, check_level
 from .wavefun import SampledContour
@@ -23,15 +21,15 @@ def transform_potential(W, kappa_sq: float, derivatives):
     """V(xi) - E = r'^2 (W(r) + kappa^2) + (3/4)(r''/r')^2 - (1/2)(r'''/r').
 
     ``W`` is the source potential as a callable on r (or on its Chart) and
-    ``derivatives`` the map's analytic (r, r', r'', r''') at the points xi;
-    finite differences are not accepted here.  The returned combination is
-    the whole left-over once the wavefunction is rescaled by 1/sqrt(r'), so
-    it already includes the energy shift.
+    ``derivatives`` the map's analytic (r, r', r'', r''') at the points xi or
+    their ArchChart; finite differences are not accepted here.  The returned
+    combination is the whole left-over once the wavefunction is rescaled by
+    1/sqrt(r'), so it already includes the energy shift.
     """
-    r, r1, r2, r3 = derivatives
-    if np.any(np.abs(np.asarray(r1)) < 1e-12):
-        raise VanishingJacobian("r'(xi) vanishes on the evaluation set")
-    return r1**2 * (W(r) + kappa_sq) + 0.75 * (r2 / r1) ** 2 - 0.5 * (r3 / r1)
+    terms = derivatives.inverse if isinstance(derivatives, ArchChart) else jacobian_terms(*derivatives)
+    r, r1, jac2, jac3 = terms
+    w = W(r) + kappa_sq  # before r'^2 is formed, so W's temporaries are gone by then
+    return np.multiply(r1**2, w) + jac2 - jac3
 
 
 def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Level) -> float:
@@ -46,6 +44,6 @@ def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Le
     pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), samples.contour.epsilon)
     kappa_sq = level.energy
 
-    lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, samples.derivatives)
+    lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, samples.inverse_map)
     rhs = samples.v - kappa_sq
     return float(np.max(np.abs(lhs - rhs)))

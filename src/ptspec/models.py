@@ -13,80 +13,21 @@ Three exactly solvable models, all in units hbar = 2m = 1:
 between them, and ``model_kind`` is the one lookup from a parameter record to
 its row.  Every place that used to ask "which model is this?" goes through it.
 
-The sinh/cosh potentials and the shifted-line eigenfunctions take points r or
-their ``Chart``, which forms sinh r and cosh r once; ``Chart.of`` is the one
-check that they do not vanish.
+The sinh/cosh potentials take points r or their ``contour.Chart`` and the
+screened well points xi or their ``contour.ArchChart``, which form sinh r,
+cosh r and e^{2i xi} once and check that no denominator vanishes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
-from .contour import ArchContour, ShiftedLine, _check_epsilon, _check_symmetric_grid
+from .contour import _SINGULAR_TOL, ArchChart, ArchContour, Chart, ShiftedLine, _check_epsilon, _check_symmetric_grid
 from .errors import SingularPoint
-from .specfun import tracked_log
-
-_SINGULAR_TOL = 1e-12
-
-
-class Chart:
-    """Contour points r with what the sinh/cosh potentials and shifted-line
-    eigenfunctions derive from them: sinh r, cosh r, Eckart's z = (1 - coth r)/2,
-    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
-
-    sinh r and cosh r are computed on construction, the rest on first use and
-    then kept, so a model pays only for what it reads and a failing check
-    raises in the level that first needs it.  A single point is held as a
-    one-element array, so it gives exactly the value it has inside an array.
-    """
-
-    def __init__(self, r) -> None:
-        r = np.asarray(r, dtype=complex)
-        self.scalar = r.ndim == 0
-        self.r = np.atleast_1d(r)
-        self.sh = np.sinh(self.r)
-        self.ch = np.cosh(self.r)
-
-    def __len__(self) -> int:
-        return len(self.r)
-
-    @classmethod
-    def of(cls, r, cosh_too: bool = False) -> Chart:
-        """The Chart of points ``r`` (``r`` itself if it is one); SingularPoint
-        where sinh r (and, with ``cosh_too``, cosh r) vanishes."""
-        chart = r if isinstance(r, cls) else cls(r)
-        if chart._vanishing[0] or (cosh_too and chart._vanishing[1]):
-            raise SingularPoint(f"{'sinh r or cosh r' if cosh_too else 'sinh r'} vanishes on the evaluation set")
-        return chart
-
-    @cached_property
-    def _vanishing(self) -> tuple:
-        return tuple(bool(np.any(np.abs(a) < _SINGULAR_TOL)) for a in (self.sh, self.ch))
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return 0.5 * (1.0 - self.ch / self.sh)
-
-    @cached_property
-    def minus_sh2(self) -> np.ndarray:
-        return -(self.sh**2)
-
-    @cached_property
-    def log_sh(self) -> np.ndarray:
-        return tracked_log(self.sh)
-
-    @cached_property
-    def log_ch(self) -> np.ndarray:
-        return tracked_log(self.ch)
-
-    def out(self, values: np.ndarray):
-        """``values`` as the caller's points came in: a complex for a single point."""
-        return complex(values[0]) if self.scalar else values
 
 
 def _check_finite(record) -> None:
@@ -135,6 +76,8 @@ class HulthenParams:
             raise ValueError("alpha must be positive")
         if not math.isfinite(self.alpha * self.alpha):
             raise ValueError(f"alpha={self.alpha} is too large: A = 1 - alpha^2 overflows")
+        if not math.isfinite(self.B):
+            raise ValueError(f"alpha={self.alpha} is too large for C={self.C}: B = C - A overflows")
 
     @property
     def A(self) -> float:
@@ -161,13 +104,10 @@ def v_pt(p: PTParams, r):
 
 
 def v_hulthen(p: HulthenParams, xi):
-    """A/(1 - e^{2i xi})^2 + B/(1 - e^{2i xi}) at complex xi."""
-    xi = np.asarray(xi, dtype=complex)
-    d = 1.0 - np.exp(2j * np.atleast_1d(xi))  # a single point as one element, as in Chart
-    if np.any(np.abs(d) < _SINGULAR_TOL):
-        raise SingularPoint("exp(2i*xi) = 1 on the evaluation set")
-    v = p.A / d**2 + p.B / d
-    return complex(v[0]) if xi.ndim == 0 else v
+    """A/(1 - e^{2i xi})^2 + B/(1 - e^{2i xi}) at complex points xi or their ArchChart."""
+    c = xi if isinstance(xi, ArchChart) else ArchChart(xi)
+    d = 1.0 - c.q
+    return c.out(p.A / d**2 + p.B / d)
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,6 @@ def discretize(model, contour: ShiftedLine, grid: GridSpec) -> TridiagonalOperat
     return TridiagonalOperator(diag=2.0 / h**2 + vals, offdiag=-1.0 / h**2, grid=grid)
 
 
-def free_particle_eigenvalue(grid: GridSpec, m: int = 1) -> float:
-    """Exact m-th eigenvalue of the discrete Dirichlet Laplacian on the grid."""
-    h = grid.h
-    return 2.0 * (1.0 - np.cos(m * np.pi * h / (2.0 * grid.L))) / h**2
-
-
 def _rayleigh(opr: TridiagonalOperator, x: np.ndarray, hx: np.ndarray | None = None) -> complex:
     """Rayleigh quotient of x; pass hx = H x when the caller already has it."""
     if hx is None:

@@ -127,11 +127,3 @@ def complex_power_tracked(base_samples, exponent: complex) -> complex | np.ndarr
     base = np.asarray(base_samples, dtype=complex)
     out = tracked_power(tracked_log(base), exponent)
     return complex(out[0]) if base.ndim == 0 else out
-
-
-def pochhammer(w: complex, n: int) -> complex:
-    """Rising factorial (w)_n as a plain product."""
-    out = complex(1.0)
-    for j in range(n):
-        out *= w + j
-    return out

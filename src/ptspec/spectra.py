@@ -73,10 +73,6 @@ class Spectrum:
             (lv for lv in self.levels if all(getattr(lv, k) == v for k, v in key.items())), None
         )
 
-    def energy_sorted(self) -> list:
-        """Merged view, ascending in energy (binding order for reports)."""
-        return sorted(self.levels, key=lambda lv: lv.energy)
-
     def to_dict(self) -> dict:
         return {
             "model": self.model,

@@ -5,12 +5,12 @@ powers can be branch-tracked; all checks are normalization-free (ratios,
 scaled residuals), since overall constants are meaningless here.
 
 What does not depend on the level is built once per set of points and
-shared by every level: a ``models.Chart`` holds the sinh/cosh arrays of the
-shifted-line eigenfunctions, a ``SampledContour`` the contour at its
-parameter values t with the potential, the residual stencil's geometry and,
-on the arch, the inverse map that the Liouville identity check reads too.
-Wherever points go in, their Chart or SampledContour may go in instead;
-plain points get their own, and the same per-level code runs.
+shared by every level: a ``SampledContour`` holds the contour at its
+parameter values t with its chart (a ``contour.Chart`` of sinh/cosh arrays
+on the line, a ``contour.ArchChart`` and its inverse map on the arch), the
+potential and the residual stencil's geometry.  Wherever points go in, their
+Chart or SampledContour may go in instead; plain points get their own, and
+the same per-level code runs.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .contour import ArchContour, liouville_derivatives
+from .contour import ArchChart, ArchContour, Chart
 from .errors import GridTooCoarse, LevelMismatch
-from .models import Chart, EckartParams, HulthenParams, PTParams, model_kind, potential_fn
+from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
 from .spectra import Level, check_level, pt_levels
 from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
 
@@ -30,11 +30,11 @@ class SampledContour:
     """A contour at parameter values t, with what every level's eigenfunction,
     residual check and Liouville identity check share there.
 
-    ``potential`` is the model's potential as a callable on contour points,
-    and ``v`` its values at ``xi``.  The shifted-line eigenfunctions read
-    ``line``, the Chart of xi(t); the arch eigenfunction reads ``arch``, the
-    Chart of the inverse map r(xi), and r'^(1/2); the identity check reads
-    ``derivatives``.  Arrays are computed on first use and kept, as in Chart.
+    ``chart`` is the Chart of xi(t) that the line eigenfunctions read or, on
+    the arch, the ArchChart whose inverse map the arch eigenfunction (with
+    r'^(1/2)) and the identity check read.  ``potential`` is the model's
+    potential as a callable on that chart, and ``v`` its values at ``xi``.
+    Arrays are computed on first use and kept, as in Chart.
     """
 
     def __init__(self, contour, t, potential) -> None:
@@ -50,35 +50,29 @@ class SampledContour:
         return self.contour.point(self.t)
 
     @cached_property
+    def chart(self) -> Chart | ArchChart:
+        return (ArchChart if isinstance(self.contour, ArchContour) else Chart)(self.xi)
+
+    @cached_property
     def v(self) -> np.ndarray:
-        return np.asarray(self.potential(self.xi), dtype=complex)
+        return np.asarray(self.potential(self.chart), dtype=complex)
 
     @cached_property
-    def line(self) -> Chart:
-        return Chart(self.xi)
+    def sqrt_r1(self) -> np.ndarray:
+        return complex_power_tracked(self.chart.inverse[1], 0.5)
 
     @cached_property
-    def _inverse_map(self) -> tuple:
-        return liouville_derivatives(self.xi)
-
-    @cached_property
-    def arch(self) -> Chart:
-        return Chart(self._inverse_map[0])
-
-    @cached_property
-    def sqrt_r1(self) -> np.ndarray | complex:
-        return complex_power_tracked(self._inverse_map[1], 0.5)
-
-    @cached_property
-    def derivatives(self) -> tuple:
-        """The inverse map's (r, r', r'', r''') with r as its Chart ``arch``, once
-        its building blocks sinh^2 r = -e^{2i xi} and cosh^2 r = 1 - e^{2i xi} check out."""
-        q = np.exp(2j * self.xi)
-        off = np.maximum(np.abs(self.arch.sh**2 + q), np.abs(self.arch.ch**2 - (1.0 - q)))
+    def inverse_map(self) -> ArchChart:
+        """The arch chart once its map passes sinh^2 r = -q and cosh^2 r = 1 - q; q goes after ``v``."""
+        self.v
+        c = self.chart
+        r, q = c.inverse[0], c.q
+        off = np.maximum(np.abs(r.sh**2 + q), np.abs(r.ch**2 - (1.0 - q)))
         piece = float(np.max(off / np.maximum(1.0, np.abs(q))))
         if piece > 1e-9:
             raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
-        return (self.arch, *self._inverse_map[1:])
+        del c.q
+        return c
 
     @cached_property
     def h(self) -> float:
@@ -192,15 +186,14 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
     if not isinstance(samples, SampledContour):
         samples = SampledContour(ArchContour(epsilon), t, potential_fn(p))
 
-    beta_eff = float(level.internal["beta_eff"].real)
-    pt_params = PTParams(p.alpha, beta_eff, epsilon)
+    pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon)
     partner = pt_levels(pt_params).find(sigma=level.sigma, tau=level.tau, N=level.N)
     if partner is None:
         raise LevelMismatch(
             f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
         )
-    chi = pt_psi(pt_params, partner, samples.arch)
-    return samples.arch.out(np.atleast_1d(chi) / samples.sqrt_r1)
+    chi = pt_psi(pt_params, partner, samples.chart.inverse[0])
+    return samples.chart.out(chi / samples.sqrt_r1)
 
 
 # ---- residual check ----------------------------------------------------------------
@@ -228,9 +221,10 @@ def residual_check(samples: SampledContour, energy, psi) -> float:
     psi_xixi = d2 / xp2 - d1 * xpp / xp3
 
     res = np.abs(-psi_xixi + (v - energy) * psi[2:-2])
-    window = np.abs(psi[2:-2])
+    a = np.abs(psi)
+    window = a[2:-2]
     for k in (0, 1, 3, 4):
-        window = np.maximum(window, np.abs(psi[k : len(psi) - 4 + k]))
+        window = np.maximum(window, a[k : len(psi) - 4 + k])
     return float(np.max(res / np.maximum(window, 1e-30)))
 
 
@@ -244,9 +238,5 @@ def level_samples(model, level: Level, contour, t) -> tuple:
     samples = t
     if not isinstance(samples, SampledContour):
         samples = SampledContour(contour, t, potential_fn(model))
-    psi_fn = globals()[kind.psi]
-    if kind.on_arch:
-        psi = psi_fn(model, level, samples, samples.contour.epsilon)
-    else:
-        psi = psi_fn(model, level, samples.line)
-    return samples.t, samples.xi, psi
+    points = (samples, samples.contour.epsilon) if kind.on_arch else (samples.chart,)
+    return samples.t, samples.xi, globals()[kind.psi](model, level, *points)

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.special import loggamma
 
 from ptspec.models import EckartParams, HulthenParams, PTParams
+from ptspec.oracle import GridSpec
+from ptspec.spectra import Spectrum
 
 # The three parameter sets used throughout: a three-level complexified well
 # with an imaginary tail, a four-level double well split into sign families,
@@ -43,6 +45,20 @@ def rising(w: complex, k: int) -> complex:
     for j in range(k):
         out *= w + j
     return out
+
+
+pochhammer = rising
+
+
+def free_particle_eigenvalue(grid: GridSpec, m: int = 1) -> float:
+    """Exact m-th eigenvalue of the discrete Dirichlet Laplacian on the grid."""
+    h = grid.h
+    return 2.0 * (1.0 - np.cos(m * np.pi * h / (2.0 * grid.L))) / h**2
+
+
+def energy_sorted(spectrum: Spectrum) -> list:
+    """The spectrum's levels ascending in energy (binding order)."""
+    return sorted(spectrum.levels, key=lambda lv: lv.energy)
 
 
 def gauss_sum_direct(a: complex, b: complex, c: complex, z: complex, n: int) -> complex:

@@ -20,6 +20,7 @@ from helpers import (
     PT_ENERGIES_MM,
     PT_ENERGY_MP,
     PT_FIXTURE,
+    free_particle_eigenvalue,
     jacobi_explicit_highprec,
     rising,
     uniform_grid,
@@ -35,7 +36,7 @@ from ptspec.models import (
     sinh_inverse_square_expansion,
     v_pt,
 )
-from ptspec.oracle import GridSpec, convergence_study, discretize, free_particle_eigenvalue, match_levels, shift_invert_eigen
+from ptspec.oracle import GridSpec, convergence_study, discretize, match_levels, shift_invert_eigen
 from ptspec.specfun import gauss2f1_terminating, jacobi_poly
 from ptspec.spectra import eckart_gap, eckart_levels, hulthen_levels, pt_levels, pt_levels_complex
 from ptspec.wavefun import SampledContour, level_samples, residual_check

@@ -465,10 +465,12 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
         (["liouville-check", "--alpha", "1e300", "--C", "4.3"], "alpha=1e+300 is too large"),
         (["sample", "--what", "potential", "--model", "hulthen", "--alpha", "1e300", "--C", "4.3", "--samples", "5"],
          "alpha=1e+300 is too large"),
+        (["sample", "--what", "potential", "--model", "hulthen", "--alpha", "1e154", "--C", "1.7e308", "--samples", "3"],
+         "B = C - A overflows"),
         (["verify", "--model", "pt", "--alpha", "1.7", "--beta", "12", "--method", "fd",
           "--grid-L", "1e-300", "--grid-n", "100"], "1/h^2 is not finite"),
     ],
-    ids=["liouville-check", "sample-potential", "verify-fd"],
+    ids=["liouville-check", "sample-potential", "sample-potential-B", "verify-fd"],
 )
 def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert run(argv) == 2

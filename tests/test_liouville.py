@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import HULTHEN_FIXTURE
-from ptspec import wavefun
-from ptspec.contour import ArchContour, arch_point, liouville_derivatives
+from ptspec import contour
+from ptspec.cli import run
+from ptspec.contour import ArchContour, Chart, arch_point, liouville_derivatives
 from ptspec.errors import LevelMismatch, VanishingJacobian
 from ptspec.liouville import transform_potential, verify_hulthen_identity
 from ptspec.models import HulthenParams, PTParams, potential_fn, v_hulthen, v_pt
@@ -44,6 +48,12 @@ def _shifted_target(xi):
     """The true inverse map with its image displaced off the solution set."""
     r, r1, r2, r3 = liouville_derivatives(xi)
     return r + 0.2j, r1, r2, r3
+
+
+def _shifted_chart_map(chart):
+    """The displaced map as an ArchChart reads it, with r as its Chart."""
+    r, r1, r2, r3 = _shifted_target(chart.xi)
+    return Chart(r), r1, r2, r3
 
 
 def test_identity_map_transforms_trivially():
@@ -136,7 +146,54 @@ def test_identity_rejects_foreign_level():
 
 
 def test_displaced_inverse_map_fails_the_algebra_check(monkeypatch):
-    monkeypatch.setattr(wavefun, "liouville_derivatives", _shifted_target)
+    monkeypatch.setattr(contour, "liouville_derivatives", _shifted_chart_map)
     lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
     with pytest.raises(RuntimeError, match="inverse-map algebra broken"):
         verify_hulthen_identity(HULTHEN_FIXTURE, _arch_samples(HULTHEN_FIXTURE), lv)
+
+
+_CHECK_ARGV = ["liouville-check", "--alpha", "1.7491", "--C", "-20.8404"]
+
+
+def test_each_transcendental_kernel_runs_once_per_point_set(monkeypatch, capsys):
+    """On the t grid, arch_point's tanh and sinh; on the arch, e^{2i xi} and e^{i xi},
+    then arcsinh, tanh, cosh and sinh of r once, whatever the number of levels."""
+    n = 1000
+    calls = collections.Counter()
+
+    def counted(name, kernel):
+        def call(x, *args, **kwargs):
+            if np.size(x) == n:
+                calls[name, "complex" if np.iscomplexobj(x) else "real"] += 1
+            return kernel(x, *args, **kwargs)
+
+        return call
+
+    for name in ("exp", "cosh", "sinh", "tanh", "arcsinh"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    assert run([*_CHECK_ARGV, "--n-samples", str(n)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["per_level"]) >= 2
+    assert calls == {
+        ("tanh", "real"): 1,
+        ("sinh", "real"): 1,
+        ("exp", "complex"): 2,
+        ("arcsinh", "complex"): 1,
+        ("tanh", "complex"): 1,
+        ("cosh", "complex"): 1,
+        ("sinh", "complex"): 1,
+    }
+
+
+def test_liouville_check_peak_memory_does_not_grow(capsys):
+    """The traced peak of one 1e5-sample check stays at or below 19.08 MiB (numpy
+    2.4.6): an array kept alive per point set, or one more temporary per level, shows here."""
+    argv = [*_CHECK_ARGV, "--n-samples", "100000"]
+    assert run(argv) == 0  # imports and first-call caches outside the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.08 * 2**20

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import ECKART_FIXTURE, PT_FIXTURE
+from helpers import ECKART_FIXTURE, PT_FIXTURE, free_particle_eigenvalue
 from ptspec import cli, oracle
 from ptspec.contour import ArchContour, ShiftedLine
 from ptspec.errors import NoConvergence, SingularPotentialOnGrid
@@ -22,7 +22,6 @@ from ptspec.oracle import (
     convergence_study,
     dense_eigenvalues,
     discretize,
-    free_particle_eigenvalue,
     match_levels,
     residual_floor,
     shift_invert_eigen,

@@ -27,8 +27,7 @@ import numpy as np
 import pytest
 
 from ptspec.cli import run
-from ptspec.contour import ArchContour, ShiftedLine
-from ptspec.models import Chart
+from ptspec.contour import ArchChart, ArchContour, Chart, ShiftedLine
 from ptspec.spectra import spectrum_of
 
 from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE
@@ -96,9 +95,10 @@ def test_every_traced_function_exists(tracing):
 _N_POINTS = 7
 
 
-def _points_calls(points):
+def _points_calls(points, arch_points):
     """A call with _N_POINTS points for every function whose facts count points;
-    ``points`` makes the shifted-line points (plain or a Chart)."""
+    ``points`` makes the shifted-line points (plain or a Chart), ``arch_points``
+    the arch points (plain or an ArchChart)."""
     t = np.linspace(-3.0, 3.0, _N_POINTS)
     line, arch = ShiftedLine(0.5), ArchContour(0.5)
     eck, pt, hul = (spectrum_of(p).levels[0] for p in (ECKART_FIXTURE, PT_FIXTURE, HULTHEN_FIXTURE))
@@ -111,7 +111,7 @@ def _points_calls(points):
         "level_samples": (HULTHEN_FIXTURE, hul, arch, t),
         "v_eckart": (ECKART_FIXTURE, points(line.point(t))),
         "v_pt": (PT_FIXTURE, points(line.point(t))),
-        "v_hulthen": (HULTHEN_FIXTURE, arch.point(t)),
+        "v_hulthen": (HULTHEN_FIXTURE, arch_points(arch.point(t))),
     }
 
 
@@ -120,8 +120,8 @@ def test_traced_points_arguments_are_the_points(tracing):
         (module, name): span for (module, name), span in tracing.TRACED.items()
         if span in ("wavefun.psi", "wavefun.level_samples", "models.potential")
     }
-    for points in (np.asarray, Chart):
-        calls = _points_calls(points)
+    for points, arch_points in ((np.asarray, np.asarray), (Chart, ArchChart)):
+        calls = _points_calls(points, arch_points)
         assert {name for _, name in counted} == set(calls)
         for (module, name), span in counted.items():
             tracer = tracing.Tracer()

@@ -12,6 +12,7 @@ from helpers import (
     gauss_sum_direct,
     jacobi_explicit_highprec,
     jacobi_explicit_loggamma,
+    pochhammer,
     rising,
 )
 from ptspec.errors import NonTerminating, PhaseJump, PoleInC, ZeroBase
@@ -19,7 +20,6 @@ from ptspec.specfun import (
     complex_power_tracked,
     gauss2f1_terminating,
     jacobi_poly,
-    pochhammer,
     tracked_log,
     tracked_power,
 )

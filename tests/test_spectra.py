@@ -16,6 +16,7 @@ from helpers import (
     PT_ENERGIES_MM,
     PT_ENERGY_MP,
     PT_FIXTURE,
+    energy_sorted,
 )
 from ptspec import spectra
 from ptspec.errors import DegenerateBeta, IndexOutOfRange, LevelMismatch, OutsideFamily
@@ -325,7 +326,7 @@ def test_hulthen_level_bound_does_not_refuse_levelless_models():
 
 def test_energy_sorted_view():
     spec = hulthen_levels(HULTHEN_FIXTURE)
-    energies = [lv.energy for lv in spec.energy_sorted()]
+    energies = [lv.energy for lv in energy_sorted(spec)]
     assert energies == sorted(energies)
     assert energies[0] == pytest.approx(0.3025)
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE, uniform_grid
+from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE, pochhammer, uniform_grid
 from ptspec.contour import ArchContour, ShiftedLine, liouville_derivatives, arch_point
 from ptspec.errors import GridTooCoarse, LevelMismatch, SingularPoint
 from ptspec.models import PTParams, potential_fn, v_eckart, v_hulthen, v_pt
@@ -16,7 +16,6 @@ from ptspec.specfun import (
     complex_power_tracked,
     gauss2f1_terminating,
     jacobi_poly,
-    pochhammer,
 )
 from ptspec.spectra import eckart_levels, hulthen_levels, pt_levels
 from ptspec.wavefun import (
@@ -193,7 +192,7 @@ def _harmonic_residual(h: float, noise: float = 0.0) -> float:
     if noise:
         rng = np.random.default_rng(20080308)
         psi = psi * (1.0 + noise * rng.standard_normal(len(t)))
-    return residual_check(SampledContour(line, t, lambda z: z**2), 1.0, psi)
+    return residual_check(SampledContour(line, t, lambda c: c.r**2), 1.0, psi)
 
 
 def test_residual_harness_on_oscillator_ground_state():
@@ -216,11 +215,11 @@ def test_residual_grid_validation():
     t4 = np.linspace(-1.0, 1.0, 4)
     xi4 = line.point(t4)
     with pytest.raises(GridTooCoarse):
-        residual_check(SampledContour(line, t4, lambda z: z**2), 1.0, np.exp(-(xi4**2) / 2))
+        residual_check(SampledContour(line, t4, lambda c: c.r**2), 1.0, np.exp(-(xi4**2) / 2))
     t = np.linspace(-1.0, 1.0, 21) ** 3
     xi = line.point(t)
     with pytest.raises(GridTooCoarse):
-        residual_check(SampledContour(line, t, lambda z: z**2), 1.0, np.exp(-(xi**2) / 2))
+        residual_check(SampledContour(line, t, lambda c: c.r**2), 1.0, np.exp(-(xi**2) / 2))
 
 
 # ---- hulthen assembly ---------------------------------------------------------------
