@@ -3,7 +3,7 @@
 Two contours are used: a straight line shifted below the real axis,
 r = t - i*eps, and an arch-shaped path xi(t) that is the image of the
 shifted line under the coordinate change sinh r = -i * exp(i*xi).
-Both expose the same (point, dpoint, d2point) interface.  A chart holds
+Both expose the same (point, derivatives) interface.  A chart holds
 points with the transcendental arrays derived from them, each made once.
 """
 
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint, VanishingJacobian
-from .specfun import tracked_log
+from .specfun import complex_power_tracked, tracked_log
 
 _SINGULAR_TOL = 1e-12
 
@@ -39,11 +39,10 @@ class ShiftedLine:
     def point(self, t):
         return np.asarray(t, dtype=float) - 1j * self.epsilon
 
-    def dpoint(self, t):
-        return np.ones_like(np.asarray(t, dtype=float), dtype=complex)
-
-    def d2point(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float), dtype=complex)
+    def derivatives(self, t) -> tuple:
+        """(xi'(t), xi''(t)) = (1, 0)."""
+        t = np.asarray(t, dtype=float)
+        return np.ones_like(t, dtype=complex), np.zeros_like(t, dtype=complex)
 
 
 def arch_point(t, epsilon: float):
@@ -73,14 +72,12 @@ class ArchContour:
     def point(self, t):
         return arch_point(t, self.epsilon)
 
-    def dpoint(self, t):
+    def derivatives(self, t) -> tuple:
+        """(xi'(t), xi''(t)), from one sinh(t - i*eps)."""
         # differentiate sinh(t - i*eps) = -i exp(i*xi):  xi'(t) = -i coth(t - i*eps)
         r = np.asarray(t, dtype=float) - 1j * self.epsilon
-        return -1j * np.cosh(r) / np.sinh(r)
-
-    def d2point(self, t):
-        r = np.asarray(t, dtype=float) - 1j * self.epsilon
-        return 1j / np.sinh(r) ** 2
+        sh = np.sinh(r)
+        return -1j * np.cosh(r) / sh, 1j / sh**2
 
 
 class Chart:
@@ -141,9 +138,10 @@ class Chart:
 
 class ArchChart:
     """Arch points xi with q = e^{2i xi}, checked on construction to keep 1 - q off
-    zero (the map's branch point, the well's pole), and ``inverse`` from first
-    use: r as its Chart, which reuses the map's cosh r, r' and the Jacobian terms,
-    not r'' or r'''.  q may be dropped after its last reader; a later one forms it again.
+    zero (the map's branch point, the well's pole), and from first use ``inverse``:
+    r as its Chart, which reuses the map's cosh r, r' and the Jacobian terms, not
+    r'' or r''', and ``sqrt_r1``: r'^(1/2), branch-tracked along the points' order.
+    q may be dropped after its last reader; a later one forms it again.
     """
 
     def __init__(self, xi) -> None:
@@ -163,6 +161,10 @@ class ArchChart:
     @cached_property
     def inverse(self) -> tuple:
         return jacobian_terms(*liouville_derivatives(self))
+
+    @cached_property
+    def sqrt_r1(self) -> np.ndarray:
+        return complex_power_tracked(self.inverse[1], 0.5)
 
     out = Chart.out
 

@@ -114,10 +114,8 @@ def discretize(model, contour: ShiftedLine, grid: GridSpec) -> TridiagonalOperat
     return TridiagonalOperator(diag=2.0 / h**2 + vals, offdiag=-1.0 / h**2, grid=grid)
 
 
-def _rayleigh(opr: TridiagonalOperator, x: np.ndarray, hx: np.ndarray | None = None) -> complex:
-    """Rayleigh quotient of x; pass hx = H x when the caller already has it."""
-    if hx is None:
-        hx = opr.matvec(x)
+def _rayleigh(x: np.ndarray, hx: np.ndarray) -> complex:
+    """Rayleigh quotient of x, given hx = H x."""
     d = x @ x  # unconjugated: exact for complex symmetric eigenvectors
     if abs(d) > 1e-8:
         return complex((x @ hx) / d)
@@ -243,7 +241,7 @@ def shift_invert_eigen(
             solve(lu)
             y /= np.linalg.norm(y)
             hy = opr.matvec(y)
-            e = _rayleigh(opr, y, hy)
+            e = _rayleigh(y, hy)
             hy -= e * y  # the residual H y - e y, reusing the Rayleigh matvec
             if it >= 2 and np.linalg.norm(hy) <= floor:
                 return e, it

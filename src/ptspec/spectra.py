@@ -110,13 +110,15 @@ def eckart_levels(p: EckartParams) -> Spectrum:
 
     The intermediates satisfy u + v = A - N - 1 and u - v = -i*beta/(u+v);
     both roots are taken with positive real part so the state decays on
-    both ends of the shifted line.
+    both ends of the shifted line.  ValueError where beta^2/(A-N-1)^2 overflows.
     """
     _check_count("eckart level bound A - 1", p.A - 1.0)
     levels = []
     n = 0
     while n < p.A - 1.0:
         d = p.A - n - 1.0
+        if not math.isfinite(p.beta * p.beta / (d * d)):
+            raise ValueError(f"beta={p.beta} is too large for A={p.A}: beta^2/(A-N-1)^2 overflows at N={n}")
         u = 0.5 * (d - 1j * p.beta / d)
         v = 0.5 * (d + 1j * p.beta / d)
         energy = -(d**2) + p.beta**2 / d**2
@@ -200,8 +202,9 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
 
     With s = sigma*alpha + 2n + 1, the product tau*beta_eff = (C/s - s)/2 and
     kappa = -(s + C/s)/2.  Accepted only if kappa > 0; tau is the sign of the
-    derived product.  Raises OutsideFamily when kappa <= 0 (or s = 0) and
-    DegenerateBeta when the derived coupling vanishes exactly.
+    derived product.  Raises OutsideFamily when kappa <= 0 (or s = 0),
+    DegenerateBeta when the derived coupling vanishes exactly and ValueError
+    when kappa^2 overflows.
     """
     s = sigma * p.alpha + 2 * n + 1
     if abs(s) < 1e-12:
@@ -212,6 +215,8 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
         raise OutsideFamily(f"kappa={kappa} <= 0 at (sigma={sigma}, n={n})")
     if tb == 0:
         raise DegenerateBeta(f"derived coupling vanishes at (sigma={sigma}, n={n})")
+    if not math.isfinite(kappa * kappa):
+        raise ValueError(f"C={p.C} is too large for alpha={p.alpha}: E = kappa^2 overflows at (sigma={sigma}, n={n})")
     tau = 1 if tb > 0 else -1
     internal = {
         "kappa": complex(kappa),

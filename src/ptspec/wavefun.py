@@ -8,9 +8,9 @@ What does not depend on the level is built once per set of points and
 shared by every level: a ``SampledContour`` holds the contour at its
 parameter values t with its chart (a ``contour.Chart`` of sinh/cosh arrays
 on the line, a ``contour.ArchChart`` and its inverse map on the arch), the
-potential and the residual stencil's geometry.  Wherever points go in, their
-Chart or SampledContour may go in instead; plain points get their own, and
-the same per-level code runs.
+potential and the residual stencil's geometry.  Each eigenfunction takes
+points in its own coordinate (r on the line, xi on the arch) or their chart;
+plain points get their own chart, and the same per-level code runs.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ class SampledContour:
     residual check and Liouville identity check share there.
 
     ``chart`` is the Chart of xi(t) that the line eigenfunctions read or, on
-    the arch, the ArchChart whose inverse map the arch eigenfunction (with
-    r'^(1/2)) and the identity check read.  ``potential`` is the model's
-    potential as a callable on that chart, and ``v`` its values at ``xi``.
+    the arch, the ArchChart whose inverse map the arch eigenfunction and the
+    identity check read.  ``potential`` is the model's potential as a
+    callable on that chart, and ``v`` its values at ``xi``.
     Arrays are computed on first use and kept, as in Chart.
     """
 
@@ -56,10 +56,6 @@ class SampledContour:
     @cached_property
     def v(self) -> np.ndarray:
         return np.asarray(self.potential(self.chart), dtype=complex)
-
-    @cached_property
-    def sqrt_r1(self) -> np.ndarray:
-        return complex_power_tracked(self.chart.inverse[1], 0.5)
 
     @cached_property
     def inverse_map(self) -> ArchChart:
@@ -89,9 +85,7 @@ class SampledContour:
     @cached_property
     def stencil(self) -> tuple:
         """xi'^2, xi'', xi'^3 and the potential at the stencil centres t[2:-2]."""
-        tc = self.t[2:-2]
-        xp = np.asarray(self.contour.dpoint(tc), dtype=complex)
-        xpp = np.asarray(self.contour.d2point(tc), dtype=complex)
+        xp, xpp = self.contour.derivatives(self.t[2:-2])
         return xp**2, xpp, xp**3, self.v[2:-2]
 
 
@@ -173,18 +167,16 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
 
 # ---- hulthen ---------------------------------------------------------------------
 
-def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
+def hulthen_psi(p: HulthenParams, level: Level, xi, epsilon: float):
     """Eigenfunction on the arch, via the change of variables.
 
-    Psi(xi(t)) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well
-    eigenfunction with the level's derived coupling beta_eff and the arch is
-    parametrized by real t with shift epsilon.  ``t`` is the parameter
-    values, or a SampledContour of them on the arch with this epsilon.
+    Psi(xi) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well
+    eigenfunction with the level's derived coupling beta_eff and the arch
+    shift epsilon.  ``xi`` is a scalar or an ordered array of arch points, or
+    their ArchChart; powers are branch-tracked along the order given.
     """
     check_level(p, level)
-    samples = t
-    if not isinstance(samples, SampledContour):
-        samples = SampledContour(ArchContour(epsilon), t, potential_fn(p))
+    chart = xi if isinstance(xi, ArchChart) else ArchChart(xi)
 
     pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon)
     partner = pt_levels(pt_params).find(sigma=level.sigma, tau=level.tau, N=level.N)
@@ -192,8 +184,8 @@ def hulthen_psi(p: HulthenParams, level: Level, t, epsilon: float):
         raise LevelMismatch(
             f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
         )
-    chi = pt_psi(pt_params, partner, samples.chart.inverse[0])
-    return samples.chart.out(chi / samples.sqrt_r1)
+    chi = pt_psi(pt_params, partner, chart.inverse[0])
+    return chart.out(chi / chart.sqrt_r1)
 
 
 # ---- residual check ----------------------------------------------------------------
@@ -205,7 +197,7 @@ def residual_check(samples: SampledContour, energy, psi) -> float:
     ``level_samples`` returns it; ``samples.t`` must be a uniform increasing
     grid.  Derivatives in t are taken with centered five-point stencils and
     converted to xi derivatives through the contour's analytic
-    dpoint/d2point.  The residual at each interior point is scaled by the
+    derivatives.  The residual at each interior point is scaled by the
     largest |psi| in the stencil window (floored at 1e-30), so tails do not
     produce false alarms and the check is normalization-free.
     """
@@ -233,10 +225,11 @@ def level_samples(model, level: Level, contour, t) -> tuple:
 
     ``t`` is the parameter values, or a SampledContour of them on
     ``contour``, which a report builds once and passes for every level.
+    The eigenfunction gets the samples' chart, and on the arch the shift.
     """
     kind = model_kind(model)
     samples = t
     if not isinstance(samples, SampledContour):
         samples = SampledContour(contour, t, potential_fn(model))
-    points = (samples, samples.contour.epsilon) if kind.on_arch else (samples.chart,)
-    return samples.t, samples.xi, globals()[kind.psi](model, level, *points)
+    shift = (samples.contour.epsilon,) if kind.on_arch else ()
+    return samples.t, samples.xi, globals()[kind.psi](model, level, samples.chart, *shift)

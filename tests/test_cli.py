@@ -469,8 +469,12 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
          "B = C - A overflows"),
         (["verify", "--model", "pt", "--alpha", "1.7", "--beta", "12", "--method", "fd",
           "--grid-L", "1e-300", "--grid-n", "100"], "1/h^2 is not finite"),
+        (["spectrum", "--model", "eckart", "--A", "3.5", "--beta", "1e160"], "beta=1e+160 is too large"),
+        (["spectrum", "--model", "hulthen", "--alpha", "1.2", "--C", "5.7e198"], "C=5.7e+198 is too large"),
+        (["spectrum", "--model", "eckart", "--A", "1.0000000000000002", "--beta", "1e150"], "beta=1e+150 is too large"),
     ],
-    ids=["liouville-check", "sample-potential", "sample-potential-B", "verify-fd"],
+    ids=["liouville-check", "sample-potential", "sample-potential-B", "verify-fd",
+         "eckart-beta-squared", "hulthen-kappa-squared", "eckart-energy"],
 )
 def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert run(argv) == 2

@@ -24,8 +24,9 @@ def test_line_point_and_derivatives():
     line = ShiftedLine(epsilon=0.5)
     t = np.array([-1.0, 0.0, 2.5])
     assert np.array_equal(line.point(t), t - 0.5j)
-    assert np.array_equal(line.dpoint(t), np.ones(3, dtype=complex))
-    assert np.array_equal(line.d2point(t), np.zeros(3, dtype=complex))
+    d1, d2 = line.derivatives(t)
+    assert np.array_equal(d1, np.ones(3, dtype=complex))
+    assert np.array_equal(d2, np.zeros(3, dtype=complex))
     assert line.L == 12.0
 
 
@@ -92,8 +93,9 @@ def test_arch_derivatives_match_finite_differences():
     h = 1e-5
     d1_fd = (arch.point(t + h) - arch.point(t - h)) / (2 * h)
     d2_fd = (arch.point(t + h) - 2 * arch.point(t) + arch.point(t - h)) / h**2
-    assert np.max(np.abs(d1_fd - arch.dpoint(t))) < 1e-8
-    assert np.max(np.abs(d2_fd - arch.d2point(t))) < 1e-4
+    d1, d2 = arch.derivatives(t)
+    assert np.max(np.abs(d1_fd - d1)) < 1e-8
+    assert np.max(np.abs(d2_fd - d2)) < 1e-4
 
 
 def test_real_part_stays_inside_strip():

@@ -107,7 +107,7 @@ def _points_calls(points, arch_points):
         "eckart_psi_second_branch": (ECKART_FIXTURE, eck, points(line.point(t))),
         "pt_psi": (PT_FIXTURE, pt, points(line.point(t))),
         "pt_psi_second_branch": (PT_FIXTURE, pt, points(line.point(t))),
-        "hulthen_psi": (HULTHEN_FIXTURE, hul, t, 0.5),
+        "hulthen_psi": (HULTHEN_FIXTURE, hul, arch_points(arch.point(t)), 0.5),
         "level_samples": (HULTHEN_FIXTURE, hul, arch, t),
         "v_eckart": (ECKART_FIXTURE, points(line.point(t))),
         "v_pt": (PT_FIXTURE, points(line.point(t))),

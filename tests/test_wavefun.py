@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE, pochhammer, uniform_grid
-from ptspec.contour import ArchContour, ShiftedLine, liouville_derivatives, arch_point
+from ptspec.cli import run
+from ptspec.contour import ArchChart, ArchContour, ShiftedLine, liouville_derivatives, arch_point
 from ptspec.errors import GridTooCoarse, LevelMismatch, SingularPoint
 from ptspec.models import PTParams, potential_fn, v_eckart, v_hulthen, v_pt
 from ptspec.specfun import (
@@ -184,6 +187,21 @@ def test_hulthen_residuals_vanish_on_the_arch():
         assert res < 1e-6
 
 
+def test_arch_stencil_forms_sinh_once(monkeypatch, capsys):
+    """xi' and xi'' at the 19997 stencil centres of a Hulthen residual verify share one sinh(t - i*eps)."""
+    calls = collections.Counter()
+    sinh = np.sinh
+
+    def counted(x, *args, **kwargs):
+        calls[np.size(x)] += 1
+        return sinh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sinh", counted)
+    assert run(["verify", "--model", "hulthen", "--alpha", "0.5", "--C", "-9", "--method", "residual"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) >= 2
+    assert calls[19997] == 1
+
+
 def _harmonic_residual(h: float, noise: float = 0.0) -> float:
     line = ShiftedLine(0.7)
     t = uniform_grid(4.0, h)
@@ -227,12 +245,11 @@ def test_residual_grid_validation():
 
 def test_hulthen_state_construction_and_decay():
     p = HULTHEN_FIXTURE
-    t = np.linspace(-10.0, 10.0, 801)
+    xi = arch_point(np.linspace(-10.0, 10.0, 801), 0.5)
     spec = hulthen_levels(p)
     for lv in spec.levels:
-        psi = hulthen_psi(p, lv, t, epsilon=0.5)
+        psi = hulthen_psi(p, lv, xi, epsilon=0.5)
         # assembled from the partner state on the inverse-mapped contour
-        xi = arch_point(t, 0.5)
         r, r1, _, _ = liouville_derivatives(xi)
         partner_params = PTParams(p.alpha, float(lv.internal["beta_eff"].real), 0.5)
         partner = next(
@@ -251,7 +268,7 @@ def test_hulthen_partner_lookup_failure():
     lv = hulthen_levels(p).levels[0]
     flipped = dataclasses.replace(lv, tau=+1)
     with pytest.raises(LevelMismatch):
-        hulthen_psi(p, flipped, np.linspace(-1.0, 1.0, 5), epsilon=0.5)
+        hulthen_psi(p, flipped, arch_point(np.linspace(-1.0, 1.0, 5), 0.5), epsilon=0.5)
 
 
 # ---- guards and dispatch ------------------------------------------------------------
@@ -294,7 +311,7 @@ def _scalar_cases() -> dict:
         "v_hulthen": (lambda xi: v_hulthen(HULTHEN_FIXTURE, xi), arch),
         "eckart_psi": (lambda r: eckart_psi(ECKART_FIXTURE, eck, r), line),
         "pt_psi": (lambda r: pt_psi(PT_FIXTURE, pt, r), line),
-        "hulthen_psi": (lambda t: hulthen_psi(HULTHEN_FIXTURE, hul, t, 0.5), rng.uniform(-4.0, 4.0, 20)),
+        "hulthen_psi": (lambda xi: hulthen_psi(HULTHEN_FIXTURE, hul, xi, 0.5), ARCH.point(rng.uniform(-4.0, 4.0, 20))),
     }
 
 
@@ -322,9 +339,10 @@ def test_level_samples_dispatch():
     assert xi[7] == complex(LINE.point(t)[7])
 
     hul = hulthen_levels(HULTHEN_FIXTURE).levels[0]
-    _, _, arch_psi = level_samples(HULTHEN_FIXTURE, hul, ARCH, t)
-    direct_h = hulthen_psi(HULTHEN_FIXTURE, hul, t, epsilon=0.5)
-    assert arch_psi[3] == complex(direct_h[3])
+    _, arch_xi, arch_psi = level_samples(HULTHEN_FIXTURE, hul, ARCH, t)
+    assert arch_xi.tobytes() == arch_point(t, 0.5).tobytes()
+    for points in (arch_xi, ArchChart(arch_xi)):  # plain points or their chart: the same bits
+        assert hulthen_psi(HULTHEN_FIXTURE, hul, points, epsilon=0.5).tobytes() == arch_psi.tobytes()
 
     with pytest.raises(TypeError):
         level_samples(object(), eck, LINE, t)
