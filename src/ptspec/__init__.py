@@ -6,7 +6,7 @@ exponential well on an arch-shaped path), the change of variables connecting
 them, and an independent finite-difference/residual verification stack.
 """
 
-from .contour import ArchContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
+from .contour import ArchContour, SampledContour, ShiftedLine, arch_point, liouville_derivatives, pt_path_check
 from .errors import PtspecError
 from .liouville import transform_potential, verify_hulthen_identity
 from .models import (
@@ -40,7 +40,7 @@ from .spectra import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from .wavefun import SampledContour, eckart_psi, hulthen_psi, pt_psi, residual_check
+from .wavefun import eckart_psi, hulthen_psi, pt_psi, residual_check
 
 __version__ = "0.1.0"
 

@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import oracle
-from .contour import ArchContour, ShiftedLine
+from .contour import ArchContour, SampledContour, ShiftedLine
 from .errors import PtspecError
 from .liouville import verify_hulthen_identity
 from .models import MODELS, potential_fn
-from .spectra import family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
-from .wavefun import SampledContour, level_samples, residual_check
+from .spectra import csv_text, family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
+from .wavefun import level_samples, residual_check
 
 RESIDUAL_H = 1e-3
 
@@ -38,13 +38,6 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_csv(header: str, columns, out: str | None) -> None:
-    """The header, then one row per sample, each number as its shortest round-trip
-    ``repr``; formatting a column at a time is faster than row by row."""
-    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
-    _write("\n".join([header, *map(",".join, zip(*cells))]) + "\n", out)
 
 
 def _report(doc: dict, passed: bool, out: str | None) -> int:
@@ -167,37 +160,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    eps = float(_resolve(args, "eps", 0.5))
     n_samples = int(_resolve(args, "samples", 1001))
 
     if args.what == "contour":
-        shape = ArchContour if args.arch else ShiftedLine
+        shape, potential = ArchContour if args.arch else ShiftedLine, None
     else:
         kind, model = _model_from_args(args)
-        shape = kind.contour
+        shape, potential = kind.contour, potential_fn(model)
     L = float(_resolve(args, "L", shape.L))
-    contour = shape(eps, L)
+    contour = shape(float(_resolve(args, "eps", 0.5)), L)
     _check_points("--samples", n_samples)
-    t = np.linspace(-L, L, n_samples)
+    samples = SampledContour(contour, np.linspace(-L, L, n_samples), potential)
 
-    if args.what == "contour":
-        xi = contour.point(t)
-        _write_csv("t,ReXi,ImXi", (t, xi.real, xi.imag), args.out)
-    elif args.what == "potential":
-        vals = potential_fn(model)(contour.point(t))
-        _write_csv("t,ReV,ImV", (t, vals.real, vals.imag), args.out)
-    else:
+    if args.what == "psi":
         if args.N is None:
             raise ValueError("sample --what psi needs --N")
-        want = {k: getattr(args, k) for k in ("sigma", "tau", "N")}
-        want = {k: None if v is None else int(v) for k, v in want.items()}
-        level = spectrum_of(model).find(**{k: want[k] for k in kind.level_key})
+        level = spectrum_of(model).find(**{k: getattr(args, k) for k in kind.level_key})
         if level is None:
             raise ValueError(f"no such level: sigma={args.sigma} tau={args.tau} N={args.N}")
-        t, xi, psi = level_samples(model, level, contour, t)
+        t, xi, psi = level_samples(model, level, contour, samples)
         # abs() per element: numpy's vectorised abs can differ in the last digit
         columns = (t, xi.real, xi.imag, psi.real, psi.imag, [abs(p) for p in psi])
-        _write_csv("t,ReXi,ImXi,RePsi,ImPsi,AbsPsi", columns, args.out)
+        text = csv_text("t,ReXi,ImXi,RePsi,ImPsi,AbsPsi", columns)
+    else:
+        z, name = (samples.xi, "Xi") if args.what == "contour" else (samples.v, "V")
+        text = csv_text(f"t,Re{name},Im{name}", (samples.t, z.real, z.imag))
+    _write(text, args.out)
     return 0
 
 
@@ -228,7 +216,7 @@ def cmd_sweep(args) -> int:
         for lv in spectrum.levels:
             count = spectrum.family_counts.get(family_key(lv.sigma, lv.tau), 0)
             rows.append((value, lv.sigma or 0, lv.tau or 0, lv.N, lv.energy, count))
-    _write_csv("value,sigma,tau,N,energy,family_count", zip(*rows), args.out)
+    _write(csv_text("value,sigma,tau,N,energy,family_count", zip(*rows)), args.out)
     return 0
 
 

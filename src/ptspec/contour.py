@@ -1,21 +1,28 @@
-"""Integration contours in the complex coordinate plane and charts of their points.
+"""Integration contours in the complex coordinate plane, charts of their points
+and the one sampled point set every check evaluates a potential on.
 
 Two contours are used: a straight line shifted below the real axis,
 r = t - i*eps, and an arch-shaped path xi(t) that is the image of the
 shifted line under the coordinate change sinh r = -i * exp(i*xi).
 Both expose the same (point, derivatives) interface.  A chart holds
 points with the transcendental arrays derived from them, each made once.
+A ``SampledContour`` holds a contour at parameter values t with its chart
+and the potential there: the finite-difference operator, the residual check,
+``sample`` and the Liouville identity check all read V from it, behind its
+one finiteness check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint, VanishingJacobian
+from .errors import (AsymmetricGrid, EpsilonOutOfRange, GridTooCoarse, SingularPoint, SingularPotentialOnGrid,
+                     VanishingJacobian)
 from .specfun import complex_power_tracked, tracked_log
 
 _SINGULAR_TOL = 1e-12
@@ -24,6 +31,8 @@ _SINGULAR_TOL = 1e-12
 def _check_epsilon(epsilon: float) -> None:
     if not (0.0 < epsilon < math.pi / 2):
         raise EpsilonOutOfRange(f"epsilon={epsilon} not in (0, pi/2)")
+    if math.sin(epsilon) ** 2 < sys.float_info.min:  # tan(epsilon) is then subnormal too
+        raise EpsilonOutOfRange(f"epsilon={epsilon} is too small: sin(epsilon)^2 is not a normal float")
 
 
 @dataclass(frozen=True)
@@ -196,6 +205,75 @@ def jacobian_terms(r, r1, r2, r3) -> tuple:
     if np.any(np.abs(np.asarray(r1)) < 1e-12):
         raise VanishingJacobian("r'(xi) vanishes on the evaluation set")
     return r, r1, 0.75 * (r2 / r1) ** 2, 0.5 * (r3 / r1)
+
+
+class SampledContour:
+    """A contour at parameter values t, with what the FD operator, every level's
+    eigenfunction, residual check and Liouville identity check share there.
+
+    ``chart`` is the Chart of xi(t) that the line eigenfunctions read or, on
+    the arch, the ArchChart whose inverse map the arch eigenfunction and the
+    identity check read.  ``potential`` is a callable on that chart (the
+    model's, or None where only points are sampled), and ``v`` its values at
+    ``xi``.  Arrays are computed on first use and kept, as in Chart.
+    """
+
+    def __init__(self, contour, t, potential=None) -> None:
+        self.contour = contour
+        self.t = np.asarray(t, dtype=float)
+        self.potential = potential
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return self.contour.point(self.t)
+
+    @cached_property
+    def chart(self) -> Chart | ArchChart:
+        return (ArchChart if isinstance(self.contour, ArchContour) else Chart)(self.xi)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """The potential at ``xi``; SingularPotentialOnGrid names the first t where it is not finite."""
+        v = np.asarray(self.potential(self.chart), dtype=complex)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            t = float(self.t[bad.argmax()])
+            raise SingularPotentialOnGrid(f"potential not finite at t = {t} ({int(bad.sum())} of {len(self)} points)")
+        return v
+
+    @cached_property
+    def inverse_map(self) -> ArchChart:
+        """The arch chart once its map passes sinh^2 r = -q and cosh^2 r = 1 - q; q goes after ``v``."""
+        self.v
+        c = self.chart
+        r, q = c.inverse[0], c.q
+        off = np.maximum(np.abs(r.sh**2 + q), np.abs(r.ch**2 - (1.0 - q)))
+        piece = float(np.max(off / np.maximum(1.0, np.abs(q))))
+        if piece > 1e-9:
+            raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
+        del c.q
+        return c
+
+    @cached_property
+    def h(self) -> float:
+        """The t step; GridTooCoarse unless t is uniform, increasing and has
+        the 5 samples the interior stencil needs."""
+        if len(self.t) < 5:
+            raise GridTooCoarse("need at least 5 samples for the interior stencil")
+        dt = np.diff(self.t)
+        h = dt[0]
+        if h <= 0 or np.max(np.abs(dt - h)) > 1e-9 * max(1.0, abs(h)):
+            raise GridTooCoarse("samples must sit on a uniform increasing t-grid")
+        return h
+
+    @cached_property
+    def stencil(self) -> tuple:
+        """xi'^2, xi'', xi'^3 and the potential at the stencil centres t[2:-2]."""
+        xp, xpp = self.contour.derivatives(self.t[2:-2])
+        return xp**2, xpp, xp**3, self.v[2:-2]
 
 
 def _check_symmetric_grid(t: np.ndarray) -> None:

@@ -43,6 +43,10 @@ class VanishingJacobian(PtspecError):
     """Change of variables has r'(xi) ~ 0 at an evaluation point."""
 
 
+class SingularPotentialOnGrid(PtspecError):
+    """The potential is not finite at a sampled contour point (on or too near a singularity)."""
+
+
 # ---- spectra and wavefunctions ----------------------------------------------
 
 class LevelMismatch(PtspecError):
@@ -66,10 +70,6 @@ class GridTooCoarse(PtspecError):
 
 
 # ---- oracle ------------------------------------------------------------------
-
-class SingularPotentialOnGrid(PtspecError):
-    """A grid node fell on (or too near) a potential singularity."""
-
 
 class LUBreakdown(PtspecError):
     """Tridiagonal factorization failed even after shift perturbation."""

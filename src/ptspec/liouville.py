@@ -4,17 +4,16 @@ Carries a potential W(r) at fixed energy -kappa^2 through an analytic map
 r(xi) and returns the transformed combination V(xi) - E, picking up the
 Schwarzian-like correction from the non-constant Jacobian.  The map enters
 as its values (r, r', r'', r''') at the points xi or, on the arch, as the
-``contour.ArchChart`` that one ``wavefun.SampledContour`` keeps for every level.
+``contour.ArchChart`` that one ``contour.SampledContour`` keeps for every level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contour import ArchChart, jacobian_terms
+from .contour import ArchChart, SampledContour, jacobian_terms
 from .models import HulthenParams, PTParams, v_pt
 from .spectra import Level, check_level
-from .wavefun import SampledContour
 
 
 def transform_potential(W, kappa_sq: float, derivatives):

@@ -26,7 +26,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .contour import _SINGULAR_TOL, ArchChart, ArchContour, Chart, ShiftedLine, _check_epsilon, _check_symmetric_grid
+from .contour import (_SINGULAR_TOL, ArchChart, ArchContour, Chart, SampledContour, ShiftedLine, _check_epsilon,
+                      _check_symmetric_grid)
 from .errors import SingularPoint
 
 
@@ -176,8 +177,8 @@ def pt_symmetry_check(model: ModelSpec, contour, t_grid) -> float:
     """
     t = np.asarray(t_grid, dtype=float)
     _check_symmetric_grid(t)
-    v = potential_fn(model)
-    return float(np.max(np.abs(v(contour.point(-t)) - np.conj(v(contour.point(t))))))
+    vm, vp = (SampledContour(contour, s, potential_fn(model)).v for s in (-t, t))
+    return float(np.max(np.abs(vm - np.conj(vp))))
 
 
 def sinh_inverse_square_expansion(t: float, epsilon: float):

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import ShiftedLine
-from .errors import LUBreakdown, NoConvergence, SingularPotentialOnGrid
+from .contour import SampledContour, ShiftedLine
+from .errors import LUBreakdown, NoConvergence
 from .models import potential_fn
 from .spectra import Spectrum
 
@@ -101,17 +101,15 @@ class TridiagonalOperator:
 def discretize(model, contour: ShiftedLine, grid: GridSpec) -> TridiagonalOperator:
     """Three-point stencil for -psi'' + V psi on the shifted line.
 
-    ``model`` is a parameter record or a bare callable V(z) (handy for
-    controls like the free particle).
+    ``model`` is a parameter record or a bare callable V on the points'
+    ``contour.Chart`` (handy for controls like the free particle).  V is read
+    from the ``contour.SampledContour`` of the grid points, whose check raises
+    SingularPotentialOnGrid at the first point where V is not finite.
     """
     if not isinstance(contour, ShiftedLine):
         raise TypeError("finite differences run on the shifted line only")
-    v = model if callable(model) else potential_fn(model)
-    vals = np.asarray(v(contour.point(grid.points())), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise SingularPotentialOnGrid("potential not finite on the grid")
-    h = grid.h
-    return TridiagonalOperator(diag=2.0 / h**2 + vals, offdiag=-1.0 / h**2, grid=grid)
+    v = SampledContour(contour, grid.points(), model if callable(model) else potential_fn(model)).v
+    return TridiagonalOperator(diag=2.0 / grid.h**2 + v, offdiag=-1.0 / grid.h**2, grid=grid)
 
 
 def _rayleigh(x: np.ndarray, hx: np.ndarray) -> complex:

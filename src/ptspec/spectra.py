@@ -93,14 +93,17 @@ def spectrum_to_json(spectrum: Spectrum) -> str:
     return json.dumps(spectrum.to_dict(), indent=2)
 
 
+def csv_text(header: str, columns) -> str:
+    """The header, then one row per sample, each number as its shortest round-trip
+    ``repr``; formatting a column at a time is faster than row by row."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """CSV with one level per row; family signs encoded as -1/0/+1."""
-    lines = ["N,sigma,tau,energy"]
-    for lv in spectrum.levels:
-        s = 0 if lv.sigma is None else lv.sigma
-        t = 0 if lv.tau is None else lv.tau
-        lines.append(f"{lv.N},{s},{t},{lv.energy!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(lv.N, lv.sigma or 0, lv.tau or 0, lv.energy) for lv in spectrum.levels]
+    return csv_text("N,sigma,tau,energy", zip(*rows))
 
 
 # ---- eckart ------------------------------------------------------------------

@@ -5,88 +5,23 @@ powers can be branch-tracked; all checks are normalization-free (ratios,
 scaled residuals), since overall constants are meaningless here.
 
 What does not depend on the level is built once per set of points and
-shared by every level: a ``SampledContour`` holds the contour at its
+shared by every level: a ``contour.SampledContour`` holds the contour at its
 parameter values t with its chart (a ``contour.Chart`` of sinh/cosh arrays
 on the line, a ``contour.ArchChart`` and its inverse map on the arch), the
-potential and the residual stencil's geometry.  Each eigenfunction takes
-points in its own coordinate (r on the line, xi on the arch) or their chart;
-plain points get their own chart, and the same per-level code runs.
+checked potential and the residual stencil's geometry.  Each eigenfunction
+takes points in its own coordinate (r on the line, xi on the arch) or their
+chart; plain points get their own chart, and the same per-level code runs.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .contour import ArchChart, ArchContour, Chart
-from .errors import GridTooCoarse, LevelMismatch
+from .contour import ArchChart, Chart, SampledContour
+from .errors import LevelMismatch
 from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
 from .spectra import Level, check_level, pt_levels
 from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
-
-
-class SampledContour:
-    """A contour at parameter values t, with what every level's eigenfunction,
-    residual check and Liouville identity check share there.
-
-    ``chart`` is the Chart of xi(t) that the line eigenfunctions read or, on
-    the arch, the ArchChart whose inverse map the arch eigenfunction and the
-    identity check read.  ``potential`` is the model's potential as a
-    callable on that chart, and ``v`` its values at ``xi``.
-    Arrays are computed on first use and kept, as in Chart.
-    """
-
-    def __init__(self, contour, t, potential) -> None:
-        self.contour = contour
-        self.t = np.asarray(t, dtype=float)
-        self.potential = potential
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    @cached_property
-    def xi(self) -> np.ndarray:
-        return self.contour.point(self.t)
-
-    @cached_property
-    def chart(self) -> Chart | ArchChart:
-        return (ArchChart if isinstance(self.contour, ArchContour) else Chart)(self.xi)
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        return np.asarray(self.potential(self.chart), dtype=complex)
-
-    @cached_property
-    def inverse_map(self) -> ArchChart:
-        """The arch chart once its map passes sinh^2 r = -q and cosh^2 r = 1 - q; q goes after ``v``."""
-        self.v
-        c = self.chart
-        r, q = c.inverse[0], c.q
-        off = np.maximum(np.abs(r.sh**2 + q), np.abs(r.ch**2 - (1.0 - q)))
-        piece = float(np.max(off / np.maximum(1.0, np.abs(q))))
-        if piece > 1e-9:
-            raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
-        del c.q
-        return c
-
-    @cached_property
-    def h(self) -> float:
-        """The t step; GridTooCoarse unless t is uniform, increasing and has
-        the 5 samples the interior stencil needs."""
-        if len(self.t) < 5:
-            raise GridTooCoarse("need at least 5 samples for the interior stencil")
-        dt = np.diff(self.t)
-        h = dt[0]
-        if h <= 0 or np.max(np.abs(dt - h)) > 1e-9 * max(1.0, abs(h)):
-            raise GridTooCoarse("samples must sit on a uniform increasing t-grid")
-        return h
-
-    @cached_property
-    def stencil(self) -> tuple:
-        """xi'^2, xi'', xi'^3 and the potential at the stencil centres t[2:-2]."""
-        xp, xpp = self.contour.derivatives(self.t[2:-2])
-        return xp**2, xpp, xp**3, self.v[2:-2]
 
 
 # ---- shifted-line eigenfunctions ---------------------------------------------------
@@ -228,8 +163,6 @@ def level_samples(model, level: Level, contour, t) -> tuple:
     The eigenfunction gets the samples' chart, and on the arch the shift.
     """
     kind = model_kind(model)
-    samples = t
-    if not isinstance(samples, SampledContour):
-        samples = SampledContour(contour, t, potential_fn(model))
+    samples = t if isinstance(t, SampledContour) else SampledContour(contour, t, potential_fn(model))
     shift = (samples.contour.epsilon,) if kind.on_arch else ()
     return samples.t, samples.xi, globals()[kind.psi](model, level, samples.chart, *shift)

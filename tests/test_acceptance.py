@@ -254,7 +254,7 @@ def test_criterion_8_discretization_error_scales_as_h_squared():
     )
     slope = convergence_study(PT_FIXTURE, ShiftedLine(0.5, L=12.0), lv, (0.02, 0.01, 0.005))
     grid = GridSpec(L=10.0, n=2000)
-    opr = discretize(lambda z: np.zeros_like(z), ShiftedLine(0.5, L=10.0), grid)
+    opr = discretize(lambda c: np.zeros_like(c.r), ShiftedLine(0.5, L=10.0), grid)
     e, _ = shift_invert_eigen(opr, (math.pi / 20.0) ** 2)
     free_err = abs(e - free_particle_eigenvalue(grid, 1))
     ok = 1.7 < slope < 2.3 and free_err < 1e-10

@@ -12,11 +12,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptspec import cli
+from ptspec import cli, models
 from ptspec.cli import build_parser, run
 
 ECKART_ARGS = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
@@ -472,9 +473,13 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
         (["spectrum", "--model", "eckart", "--A", "3.5", "--beta", "1e160"], "beta=1e+160 is too large"),
         (["spectrum", "--model", "hulthen", "--alpha", "1.2", "--C", "5.7e198"], "C=5.7e+198 is too large"),
         (["spectrum", "--model", "eckart", "--A", "1.0000000000000002", "--beta", "1e150"], "beta=1e+150 is too large"),
+        (["sample", "--model", "eckart", "--A", "1e154", "--beta", "-0.4331", "--what", "potential", "--samples", "3"],
+         "potential not finite at t = 0.0 (1 of 3 points)"),
+        (["liouville-check", "--alpha", "1.48", "--C", "0", "--eps", "1e-320", "--n-samples", "7"],
+         "epsilon=1e-320 is too small: sin(epsilon)^2 is not a normal float"),
     ],
     ids=["liouville-check", "sample-potential", "sample-potential-B", "verify-fd",
-         "eckart-beta-squared", "hulthen-kappa-squared", "eckart-energy"],
+         "eckart-beta-squared", "hulthen-kappa-squared", "eckart-energy", "eckart-potential", "subnormal-eps"],
 )
 def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert run(argv) == 2
@@ -482,6 +487,31 @@ def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert not re.match(r"error: [A-Za-z]+Error: ", err)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", *ECKART_ARGS, "--method", "fd"], "v_eckart"),
+        (["verify", *PT_ARGS, "--method", "residual"], "v_pt"),
+        (["sample", "--what", "potential", *PT_ARGS, "--samples", "5"], "v_pt"),
+        (["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", "7"], "v_hulthen"),
+    ],
+    ids=["verify-fd", "verify-residual", "sample-potential", "liouville-check"],
+)
+def test_a_potential_not_finite_at_one_point_is_bad_input(argv, name, monkeypatch, capsys):
+    v = getattr(models, name)
+
+    def poisoned(p, points):  # the model's potential with NaN at its middle point
+        out = np.array(v(p, points))
+        out[len(out) // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(models, name, poisoned)  # potential_fn looks the function up when called
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: potential not finite at t = \S+ \(1 of \d+ points\)\n", err), err
 
 
 _JSON = st.recursive(

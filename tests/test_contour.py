@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
+import ptspec
+from ptspec import wavefun
 from ptspec.contour import (
     ArchContour,
+    SampledContour,
     ShiftedLine,
     arch_point,
     liouville_derivatives,
     pt_path_check,
 )
-from ptspec.errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint
+from ptspec.errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint, SingularPotentialOnGrid
 
 
 # ---- shifted line ----------------------------------------------------------------
@@ -175,3 +178,19 @@ def test_inverse_map_singular_points():
         with pytest.raises(SingularPoint):
             liouville_derivatives(xi)
 
+
+
+# ---- sampled point sets ------------------------------------------------------------
+
+
+def test_one_sampled_contour_class_behind_every_import_path():
+    assert ptspec.SampledContour is wavefun.SampledContour is SampledContour
+
+
+def test_sampled_contour_names_the_first_point_where_the_potential_is_not_finite():
+    t = np.linspace(-2.0, 2.0, 5)
+    samples = SampledContour(ShiftedLine(0.5), t)  # no potential: points only
+    assert np.array_equal(samples.xi, t - 0.5j)
+    spiky = SampledContour(ShiftedLine(0.5), t, lambda c: np.where(c.r.real > 0.5, np.inf, 0.0) + 0j)
+    with pytest.raises(SingularPotentialOnGrid, match=r"^potential not finite at t = 1\.0 \(2 of 5 points\)$"):
+        spiky.v

@@ -34,8 +34,8 @@ ECKART_CLI = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
 PT_CLI = ["--model", "pt", "--alpha", "4.3", "--beta", "1.7", "--eps", "0.5"]
 
 
-def _zero_potential(z):
-    return np.zeros_like(z)
+def _zero_potential(c):
+    return np.zeros_like(c.r)
 
 
 # ---- grids and operators ------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_discretize_guards():
     g = GridSpec(L=1.0, n=99)
     with pytest.raises(TypeError):
         discretize(PT_FIXTURE, ArchContour(0.5), g)
-    spiky = lambda z: np.where(np.abs(z.real) < 1e-3, np.inf, 0.0) + 0j
+    spiky = lambda c: np.where(np.abs(c.r.real) < 1e-3, np.inf, 0.0) + 0j
     with pytest.raises(SingularPotentialOnGrid):
         discretize(spiky, LINE, g)
 

@@ -3,10 +3,12 @@
 * Pool replay: every digest entry of the ``residual-scan`` and ``cli-cold``
   pools, replayed in process with its PTSPEC_SEED, must print the bytes the
   pool recorded, and every FD entry of the ``fd-grid`` and ``cli-cold`` pools
-  must exit with the code it exits with today.  A benchmark run counts a
-  moved digest as a failed request, and an FD request's exit code is what
-  its failure share counts.  (The ``export`` pool takes about half a minute
-  in process, so it is replayed by hand, not here.)
+  must exit with the code it exits with today and print the same report.  A
+  benchmark run counts a moved digest as a failed request, and an FD
+  request's exit code is what its failure share counts; the pools record no
+  digest for FD reports, so one SHA-256 over all of them is pinned here.
+  (The ``export`` pool takes about half a minute in process, so it is
+  replayed by hand, not here.)
 * The tracing table: every ``(module, function)`` that ``bench/tracing.py``
   wraps must exist, and the arguments its facts read by position must still
   be the points arguments.  A renamed or reordered function would otherwise
@@ -41,6 +43,12 @@ FD_GRID_CODES = (
     "110000000000000000000000111000000000000000000000111111000000000000001000111111110000000100101101"
 )
 
+#: SHA-256 over ``b"%d\n" % code + stdout`` of the FD entries in the same order, recorded
+#: on a 2-vCPU x86-64 Xeon with numpy 2.4.6's bundled OpenBLAS; another LAPACK build
+#: may move the last digits of a report
+FD_GRID_DIGEST = "05919e2dceaf88930bc057061b212393faed5104e7d7d878995d910f8414731d"
+CLI_COLD_FD_DIGEST = "744c6e5dacaaf42138acecc337ef6bdc79553f4bc34ab4f7a210c684ca63b36b"
+
 
 def _pool(name: str) -> dict:
     return json.loads((BENCH / "pools" / f"{name}.json").read_text())
@@ -70,12 +78,17 @@ def test_pool_entry_prints_its_recorded_bytes(entries, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, codes",
-    [pytest.param("fd-grid", FD_GRID_CODES, id="fd-grid"), pytest.param("cli-cold", "0" * 12, id="cli-cold")],
+    "name, codes, digest",
+    [
+        pytest.param("fd-grid", FD_GRID_CODES, FD_GRID_DIGEST, id="fd-grid"),
+        pytest.param("cli-cold", "0" * 12, CLI_COLD_FD_DIGEST, id="cli-cold"),
+    ],
 )
-def test_fd_pool_entries_keep_their_exit_codes(name, codes, capsys, monkeypatch):
+def test_fd_pool_entries_keep_their_exit_codes(name, codes, digest, capsys, monkeypatch):
     entries = [e for _, es in sorted(_pool(name)["strata"].items()) for e in es if e["sha256"] is None]
-    assert "".join(str(_replay(e, monkeypatch, capsys)[0]) for e in entries) == codes
+    replies = [_replay(e, monkeypatch, capsys) for e in entries]
+    assert "".join(str(code) for code, _ in replies) == codes
+    assert hashlib.sha256(b"".join(b"%d\n" % code + out for code, out in replies)).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
