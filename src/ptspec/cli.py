@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import reprlib
 import sys
@@ -19,7 +20,7 @@ from .contour import ArchContour, SampledContour, ShiftedLine
 from .errors import PtspecError
 from .liouville import verify_hulthen_identity
 from .models import MODELS, potential_fn
-from .spectra import csv_text, family_key, spectrum_of, spectrum_to_csv, spectrum_to_json
+from .spectra import csv_text, family_key, level_of, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import level_samples, residual_check
 
 RESIDUAL_H = 1e-3
@@ -89,6 +90,14 @@ def _resolve(args, name, default):
     return default if val is None else val
 
 
+def _tol(args, default: float) -> float:
+    """``--tol`` (from the flag, --config or ``default``); ValueError unless it is finite."""
+    tol = float(_resolve(args, "tol", default))
+    if not math.isfinite(tol):
+        raise ValueError(f"--tol must be finite, got {tol}")
+    return tol
+
+
 def _model_from_args(args, **override) -> tuple:
     """The table row of ``--model`` and the parameter record built from the flags;
     ``override`` replaces a flag's value (``sweep`` passes its points this way)."""
@@ -126,14 +135,14 @@ def cmd_verify(args) -> int:
     if method == "fd":
         if kind.on_arch:
             raise ValueError("finite differences run on the shifted line; use --method residual")
-        tol = float(_resolve(args, "tol", 1e-2))
+        tol = _tol(args, 1e-2)
         n = int(_resolve(args, "grid_n", 1500))
         _check_points("--grid-n", n)
         grid = oracle.GridSpec(L=float(_resolve(args, "grid_L", 12.0)), n=n)
         opr = oracle.discretize(model, ShiftedLine(epsilon=eps, L=grid.L), grid)
         doc = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed())
     elif method == "residual":
-        tol = float(_resolve(args, "tol", 1e-6))
+        tol = _tol(args, 1e-6)
         window = float(_resolve(args, "grid_L", kind.residual_window))
         contour = kind.contour(epsilon=eps, L=window)
         _check_points("--grid-L", 2 * window / RESIDUAL_H + 1)
@@ -175,7 +184,7 @@ def cmd_sample(args) -> int:
     if args.what == "psi":
         if args.N is None:
             raise ValueError("sample --what psi needs --N")
-        level = spectrum_of(model).find(**{k: getattr(args, k) for k in kind.level_key})
+        level = level_of(model, **{k: getattr(args, k) for k in kind.level_key})
         if level is None:
             raise ValueError(f"no such level: sigma={args.sigma} tau={args.tau} N={args.N}")
         t, xi, psi = level_samples(model, level, contour, samples)
@@ -227,7 +236,7 @@ def cmd_liouville_check(args) -> int:
     if n_samples < 1:
         raise ValueError(f"--n-samples must be at least 1, got {n_samples}")
     _check_points("--n-samples", n_samples)
-    tol = float(_resolve(args, "tol", 1e-9))
+    tol = _tol(args, 1e-9)
 
     samples = SampledContour(ArchContour(eps), np.linspace(-10.0, 10.0, n_samples), potential_fn(model))
     samples.inverse_map  # built and checked before the levels, even if there are none

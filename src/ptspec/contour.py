@@ -8,8 +8,8 @@ Both expose the same (point, derivatives) interface.  A chart holds
 points with the transcendental arrays derived from them, each made once.
 A ``SampledContour`` holds a contour at parameter values t with its chart
 and the potential there: the finite-difference operator, the residual check,
-``sample`` and the Liouville identity check all read V from it, behind its
-one finiteness check.
+``sample`` and the Liouville identity check all read V from it, and its one
+finiteness check covers the points, V, eigenfunctions and transformed V.
 """
 
 from __future__ import annotations
@@ -226,9 +226,18 @@ class SampledContour:
     def __len__(self) -> int:
         return len(self.t)
 
+    def finite(self, what: str, values) -> np.ndarray:
+        """``values`` as an array; SingularPotentialOnGrid names ``what`` and the first t where it is not finite."""
+        values = np.asarray(values)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            t = float(self.t[bad.argmax()])
+            raise SingularPotentialOnGrid(f"{what} not finite at t = {t} ({int(bad.sum())} of {len(self)} points)")
+        return values
+
     @cached_property
     def xi(self) -> np.ndarray:
-        return self.contour.point(self.t)
+        return self.finite("contour point", self.contour.point(self.t))
 
     @cached_property
     def chart(self) -> Chart | ArchChart:
@@ -236,13 +245,8 @@ class SampledContour:
 
     @cached_property
     def v(self) -> np.ndarray:
-        """The potential at ``xi``; SingularPotentialOnGrid names the first t where it is not finite."""
-        v = np.asarray(self.potential(self.chart), dtype=complex)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            t = float(self.t[bad.argmax()])
-            raise SingularPotentialOnGrid(f"potential not finite at t = {t} ({int(bad.sum())} of {len(self)} points)")
-        return v
+        """The potential at ``xi``, checked by ``finite``."""
+        return self.finite("potential", np.asarray(self.potential(self.chart), dtype=complex))
 
     @cached_property
     def inverse_map(self) -> ArchChart:

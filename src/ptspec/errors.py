@@ -44,7 +44,8 @@ class VanishingJacobian(PtspecError):
 
 
 class SingularPotentialOnGrid(PtspecError):
-    """The potential is not finite at a sampled contour point (on or too near a singularity)."""
+    """An array sampled on a contour (its points, the potential, an eigenfunction or a transformed
+    potential) is not finite at a point: on or too near a singularity, or past what a float holds."""
 
 
 # ---- spectra and wavefunctions ----------------------------------------------

@@ -39,10 +39,10 @@ def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Le
     momentum kappa, transports W(r) = v_pt(alpha, beta_eff) through the arch
     map and compares with v_hulthen(alpha, C) - kappa^2 at the samples.
     """
-    check_level(p, level)
+    level = check_level(p, level)
     pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), samples.contour.epsilon)
     kappa_sq = level.energy
 
     lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, samples.inverse_map)
     rhs = samples.v - kappa_sq
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(samples.finite("transformed potential", lhs) - rhs)))

@@ -61,6 +61,9 @@ class PTParams:
         _check_finite(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must both be positive")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name}={value} is too large: {name}^2 overflows")
         _check_epsilon(self.epsilon)
 
 
@@ -116,15 +119,15 @@ class Model:
     """One row of the model table.
 
     ``flags`` are the two CLI parameters, in the order ``build(a, b, eps)``
-    takes them.  ``potential``, ``levels`` and ``psi`` name functions in
-    ``ptspec.models``, ``ptspec.spectra`` and ``ptspec.wavefun``, and each
-    of those modules looks its own column up in its globals when called.
+    takes them.  ``potential``, ``levels``, ``level`` (one level's builder) and
+    ``psi`` name functions in ``ptspec.models``, ``ptspec.spectra`` and
+    ``ptspec.wavefun``, and each looks its own column up in its globals.
     Names rather than function objects keep this module free of imports
     from the modules above it, and a function replaced at its module global
     (as ``bench/tracing.py`` does) is the one that runs.  ``contour`` is the
     natural contour: its default ``L`` is the ``sample`` window, and
     ``residual_window`` the ``verify --method residual`` one.  ``level_key``
-    lists the Level fields that ``sample --what psi`` matches.
+    lists the Level fields that ``level`` takes after the parameter record.
     """
 
     name: str
@@ -133,6 +136,7 @@ class Model:
     build: Callable
     potential: str
     levels: str
+    level: str
     psi: str
     contour: type
     residual_window: float
@@ -147,11 +151,11 @@ MODELS = {
     m.name: m
     for m in (
         Model("eckart", EckartParams, ("A", "beta"), lambda a, b, eps: EckartParams(a, b),
-              "v_eckart", "eckart_levels", "eckart_psi", ShiftedLine, 8.0, ("N",)),
+              "v_eckart", "eckart_levels", "eckart_level", "eckart_psi", ShiftedLine, 8.0, ("N",)),
         Model("pt", PTParams, ("alpha", "beta"), PTParams,
-              "v_pt", "pt_levels", "pt_psi", ShiftedLine, 8.0, ("sigma", "tau", "N")),
+              "v_pt", "pt_levels", "pt_level", "pt_psi", ShiftedLine, 8.0, ("sigma", "tau", "N")),
         Model("hulthen", HulthenParams, ("alpha", "C"), lambda a, b, eps: HulthenParams(a, b),
-              "v_hulthen", "hulthen_levels", "hulthen_psi", ArchContour, 10.0, ("sigma", "N")),
+              "v_hulthen", "hulthen_levels", "hulthen_level", "hulthen_psi", ArchContour, 10.0, ("sigma", "N")),
     )
 }
 

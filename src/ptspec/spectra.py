@@ -8,6 +8,7 @@ enumerator of any parameter record through the model table.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,10 +25,16 @@ _FAMILY_ORDER = ((-1, -1), (-1, +1), (+1, -1), (+1, +1))
 MAX_LEVELS = 10_000
 
 
-def _check_count(bound: str, count: float) -> None:
-    """ValueError when a closed-form bound on the loop length exceeds MAX_LEVELS."""
+def _check_count(bound: str, count: float) -> float:
+    """``count``; ValueError when this closed-form bound on a loop length exceeds MAX_LEVELS."""
     if count > MAX_LEVELS:
         raise ValueError(f"{bound} = {count:.6g} exceeds MAX_LEVELS = {MAX_LEVELS}")
+    return count
+
+
+def _family(model, **signs) -> list:
+    """The levels N = 0, 1, ... of ``model`` with the family ``signs``, up to the first N outside it."""
+    return list(itertools.takewhile(bool, (level_of(model, N=n, **signs) for n in itertools.count())))
 
 
 def family_key(sigma: int | None, tau: int | None) -> str:
@@ -67,12 +74,6 @@ class Spectrum:
     family_counts: dict
     notes: list = field(default_factory=list)
 
-    def find(self, **key) -> Level | None:
-        """First level whose fields equal ``key`` (e.g. sigma=-1, N=2), or None."""
-        return next(
-            (lv for lv in self.levels if all(getattr(lv, k) == v for k, v in key.items())), None
-        )
-
     def to_dict(self) -> dict:
         return {
             "model": self.model,
@@ -108,32 +109,35 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
 
 # ---- eckart ------------------------------------------------------------------
 
-def eckart_levels(p: EckartParams) -> Spectrum:
-    """All N with N < A - 1:  E_N = -(A-N-1)^2 + beta^2/(A-N-1)^2.
+def eckart_level(p: EckartParams, n: int) -> Level:
+    """Level N, for 0 <= N < A - 1:  E_N = -(A-N-1)^2 + beta^2/(A-N-1)^2.
 
     The intermediates satisfy u + v = A - N - 1 and u - v = -i*beta/(u+v);
     both roots are taken with positive real part so the state decays on
-    both ends of the shifted line.  ValueError where beta^2/(A-N-1)^2 overflows.
+    both ends of the shifted line.  OutsideFamily for any other N, ValueError where
+    A - 1 exceeds MAX_LEVELS or beta^2/(A-N-1)^2 overflows.
     """
     _check_count("eckart level bound A - 1", p.A - 1.0)
-    levels = []
-    n = 0
-    while n < p.A - 1.0:
-        d = p.A - n - 1.0
-        if not math.isfinite(p.beta * p.beta / (d * d)):
-            raise ValueError(f"beta={p.beta} is too large for A={p.A}: beta^2/(A-N-1)^2 overflows at N={n}")
-        u = 0.5 * (d - 1j * p.beta / d)
-        v = 0.5 * (d + 1j * p.beta / d)
-        energy = -(d**2) + p.beta**2 / d**2
-        internal = {
-            "u": u,
-            "v": v,
-            "a": complex(2.0 * p.A - n - 1.0),
-            "b": complex(-n),
-            "c": 1.0 + 2.0 * u,
-        }
-        levels.append(Level("eckart", n, None, None, float(energy), internal))
-        n += 1
+    if not 0 <= n < p.A - 1.0:
+        raise OutsideFamily(f"N={n} is not in 0 <= N < A - 1 = {p.A - 1.0}")
+    d = p.A - n - 1.0
+    if not math.isfinite(p.beta * p.beta / (d * d)):
+        raise ValueError(f"beta={p.beta} is too large for A={p.A}: beta^2/(A-N-1)^2 overflows at N={n}")
+    u = 0.5 * (d - 1j * p.beta / d)
+    v = 0.5 * (d + 1j * p.beta / d)
+    internal = {
+        "u": u,
+        "v": v,
+        "a": complex(2.0 * p.A - n - 1.0),
+        "b": complex(-n),
+        "c": 1.0 + 2.0 * u,
+    }
+    return Level("eckart", n, None, None, float(-(d**2) + p.beta**2 / d**2), internal)
+
+
+def eckart_levels(p: EckartParams) -> Spectrum:
+    """All levels N = 0, 1, ... below A - 1, each from ``eckart_level``."""
+    levels = _family(p)
     return Spectrum(
         model="eckart",
         params={"A": p.A, "beta": p.beta},
@@ -144,44 +148,42 @@ def eckart_levels(p: EckartParams) -> Spectrum:
 
 def eckart_gap(p: EckartParams, n: int) -> float:
     """E_N - E_{N-1} for 1 <= N <= N_max; always exceeds 1."""
-    spectrum = eckart_levels(p)
-    if not 1 <= n < len(spectrum.levels):
-        raise IndexOutOfRange(f"gap index N={n} outside 1..{len(spectrum.levels) - 1}")
-    return spectrum.levels[n].energy - spectrum.levels[n - 1].energy
+    lower, upper = level_of(p, N=n - 1), level_of(p, N=n)
+    if lower is None or upper is None:
+        raise IndexOutOfRange(f"gap index N={n} outside 1..{math.ceil(p.A - 1.0) - 1}")
+    return upper.energy - lower.energy
 
 
 # ---- poschl-teller -----------------------------------------------------------
 
-def pt_levels(p: PTParams) -> Spectrum:
-    """Four sign families (sigma, tau); levels where 2N+1 < -(sigma*alpha + tau*beta).
+def pt_level(p: PTParams, sigma: int, tau: int, n: int) -> Level:
+    """Level (sigma, tau, N), for signs +-1 and 0 <= 2N+1 < -(sigma*alpha + tau*beta).
 
-    E = -(2N + 1 + sigma*alpha + tau*beta)^2.  The (+,+) family is empty for
-    positive couplings; (-,-) fills first as alpha + beta grows.
+    E = -(2N + 1 + sigma*alpha + tau*beta)^2.  OutsideFamily for any other key (a
+    sign other than +-1 is in no family), ValueError where (alpha + beta - 1)/2 exceeds MAX_LEVELS.
     """
     _check_count("pt level bound (alpha + beta - 1)/2", (p.alpha + p.beta - 1.0) / 2)
-    levels = []
-    counts = {}
-    for sigma, tau in _FAMILY_ORDER:
-        s = sigma * p.alpha + tau * p.beta
-        fam = []
-        n = 0
-        while 2 * n + 1 < -s:
-            internal = {
-                "mu": complex(0.5 * (tau * p.beta + 0.5)),
-                "nu": complex(0.5 * (sigma * p.alpha + 0.5)),
-                "a": complex(n + 1 + s),
-                "b": complex(-n),
-                "c": complex(tau * p.beta + 1.0),
-            }
-            levels.append(Level("pt", n, sigma, tau, float(-((2 * n + 1 + s) ** 2)), internal))
-            fam.append(n)
-            n += 1
-        counts[family_key(sigma, tau)] = len(fam)
+    s = sigma * p.alpha + tau * p.beta if sigma in (-1, 1) and tau in (-1, 1) else math.inf
+    if n < 0 or not 2 * n + 1 < -s:
+        raise OutsideFamily(f"(sigma,tau,N)=({sigma},{tau},{n}): 2N+1 is not below -(sigma*alpha+tau*beta)={-s}")
+    internal = {
+        "mu": complex(0.5 * (tau * p.beta + 0.5)),
+        "nu": complex(0.5 * (sigma * p.alpha + 0.5)),
+        "a": complex(n + 1 + s),
+        "b": complex(-n),
+        "c": complex(tau * p.beta + 1.0),
+    }
+    return Level("pt", n, sigma, tau, float(-((2 * n + 1 + s) ** 2)), internal)
+
+
+def pt_levels(p: PTParams) -> Spectrum:
+    """The four sign families filled N = 0, 1, ...; (+,+) is empty, and (-,-) fills first as alpha + beta grows."""
+    families = {family_key(sg, ta): _family(p, sigma=sg, tau=ta) for sg, ta in _FAMILY_ORDER}
     return Spectrum(
         model="pt",
         params={"alpha": p.alpha, "beta": p.beta, "epsilon": p.epsilon},
-        levels=levels,
-        family_counts=counts,
+        levels=[lv for fam in families.values() for lv in fam],
+        family_counts={key: len(fam) for key, fam in families.items()},
     )
 
 
@@ -205,10 +207,13 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
 
     With s = sigma*alpha + 2n + 1, the product tau*beta_eff = (C/s - s)/2 and
     kappa = -(s + C/s)/2.  Accepted only if kappa > 0; tau is the sign of the
-    derived product.  Raises OutsideFamily when kappa <= 0 (or s = 0),
-    DegenerateBeta when the derived coupling vanishes exactly and ValueError
-    when kappa^2 overflows.
+    derived product.  Raises OutsideFamily when kappa <= 0 (or s = 0, n < 0 or sigma is
+    not +-1), DegenerateBeta when the derived coupling vanishes exactly and ValueError
+    when kappa^2 overflows or the candidate bound of ``hulthen_levels`` exceeds MAX_LEVELS.
     """
+    _hulthen_stop(p)
+    if n < 0 or sigma not in (-1, 1):
+        raise OutsideFamily(f"(sigma, N) = ({sigma}, {n}) is not a level key")
     s = sigma * p.alpha + 2 * n + 1
     if abs(s) < 1e-12:
         raise OutsideFamily(f"s = sigma*alpha + 2n + 1 vanishes at (sigma={sigma}, n={n})")
@@ -229,6 +234,11 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
     return Level("hulthen", n, sigma, tau, float(kappa**2), internal)
 
 
+def _hulthen_stop(p: HulthenParams) -> int:
+    """The candidate bound of ``hulthen_levels``, checked against MAX_LEVELS."""
+    return _check_count("hulthen level bound", math.floor((math.sqrt(max(-p.C, 0.0)) + p.alpha - 1.0) / 2.0) + 1)
+
+
 def hulthen_levels(p: HulthenParams) -> Spectrum:
     """Enumerate (sigma, n) candidates and keep those with kappa > 0.
 
@@ -241,10 +251,8 @@ def hulthen_levels(p: HulthenParams) -> Spectrum:
     levels = []
     counts: dict[str, int] = {}
     notes: list[str] = []
-    n_stop = math.floor((math.sqrt(max(-p.C, 0.0)) + p.alpha - 1.0) / 2.0) + 1
-    _check_count("hulthen level bound", n_stop)
     for sigma in (-1, +1):
-        for n in range(n_stop):
+        for n in range(_hulthen_stop(p)):
             try:
                 lv = hulthen_level(p, sigma, n)
             except OutsideFamily:
@@ -272,21 +280,24 @@ def spectrum_of(model) -> Spectrum:
     return globals()[model_kind(model).levels](model)
 
 
-def check_level(model, level: Level) -> None:
-    """Guard that a Level record is one of the given model's own levels.
+def level_of(model, **key) -> Level | None:
+    """The level of ``model`` whose fields equal ``key`` (at least its ``level_key``, e.g. N=2), or None."""
+    kind = model_kind(model)
+    try:
+        lv = globals()[kind.level](model, *(key[k] for k in kind.level_key))
+    except (OutsideFamily, DegenerateBeta):
+        return None
+    return lv if all(getattr(lv, k) == v for k, v in key.items()) else None
 
-    The level is looked up in the model's enumeration by (sigma, tau, N) and
-    its energy compared with the enumerated one.
-    """
-    spectrum = spectrum_of(model)
-    if level.model != spectrum.model:
-        raise LevelMismatch(f"level tagged {level.model!r}, expected {spectrum.model!r}")
-    own = spectrum.find(sigma=level.sigma, tau=level.tau, N=level.N)
+
+def check_level(model, level: Level) -> Level:
+    """The model's own level at ``level``'s (sigma, tau, N); LevelMismatch unless ``level`` has its tag and energy."""
+    kind = model_kind(model)
+    if level.model != kind.name:
+        raise LevelMismatch(f"level tagged {level.model!r}, expected {kind.name!r}")
+    own = level_of(model, sigma=level.sigma, tau=level.tau, N=level.N)
     if own is None:
-        raise LevelMismatch(
-            f"(sigma,tau,N)=({level.sigma},{level.tau},{level.N}) is not a level of {model}"
-        )
+        raise LevelMismatch(f"(sigma,tau,N)=({level.sigma},{level.tau},{level.N}) is not a level of {model}")
     if not np.isclose(level.energy, own.energy, rtol=1e-9, atol=1e-9):
-        raise LevelMismatch(
-            f"energy {level.energy} does not match parameters (expect {own.energy})"
-        )
+        raise LevelMismatch(f"energy {level.energy} does not match parameters (expect {own.energy})")
+    return own

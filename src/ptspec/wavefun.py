@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import ArchChart, Chart, SampledContour
-from .errors import LevelMismatch
 from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
-from .spectra import Level, check_level, pt_levels
+from .spectra import Level, check_level, pt_level
 from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
 
 
@@ -106,20 +105,15 @@ def hulthen_psi(p: HulthenParams, level: Level, xi, epsilon: float):
     """Eigenfunction on the arch, via the change of variables.
 
     Psi(xi) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well
-    eigenfunction with the level's derived coupling beta_eff and the arch
-    shift epsilon.  ``xi`` is a scalar or an ordered array of arch points, or
+    eigenfunction of the partner level with the level's key, derived coupling beta_eff
+    and the arch shift epsilon.  ``xi`` is a scalar or an ordered array of arch points, or
     their ArchChart; powers are branch-tracked along the order given.
     """
-    check_level(p, level)
+    level = check_level(p, level)
     chart = xi if isinstance(xi, ArchChart) else ArchChart(xi)
 
     pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon)
-    partner = pt_levels(pt_params).find(sigma=level.sigma, tau=level.tau, N=level.N)
-    if partner is None:
-        raise LevelMismatch(
-            f"(sigma={level.sigma}, tau={level.tau}, n={level.N}) has no partner level"
-        )
-    chi = pt_psi(pt_params, partner, chart.inverse[0])
+    chi = pt_psi(pt_params, pt_level(pt_params, level.sigma, level.tau, level.N), chart.inverse[0])
     return chart.out(chi / chart.sqrt_r1)
 
 
@@ -165,4 +159,5 @@ def level_samples(model, level: Level, contour, t) -> tuple:
     kind = model_kind(model)
     samples = t if isinstance(t, SampledContour) else SampledContour(contour, t, potential_fn(model))
     shift = (samples.contour.epsilon,) if kind.on_arch else ()
-    return samples.t, samples.xi, globals()[kind.psi](model, level, samples.chart, *shift)
+    psi = globals()[kind.psi](model, level, samples.chart, *shift)
+    return samples.t, samples.xi, samples.finite("eigenfunction", psi)

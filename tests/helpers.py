@@ -33,6 +33,15 @@ HULTHEN_TABLE = [
     (+1, 0, 1.5, 2.25, 3.75, -1, 5.0625),
 ]
 
+#: the parameter ranges the benchmark pools draw from (bench/make_pools.py), per model
+#: (low, high, low excluded) for its two CLI parameters: open intervals, but Eckart's
+#: beta in [0, 3)
+POOL_DOMAINS = {
+    "eckart": ((1.0, 6.0, True), (0.0, 3.0, False)),
+    "pt": ((0.1, 6.0, True), (0.1, 6.0, True)),
+    "hulthen": ((0.1, 5.0, True), (-30.0, -0.1, True)),
+}
+
 
 def uniform_grid(window: float, h: float) -> np.ndarray:
     """Symmetric uniform t-grid covering [-window, window] with step h."""

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptspec import cli, models
+from ptspec import cli, models, spectra
 from ptspec.cli import build_parser, run
 
 ECKART_ARGS = ["--model", "eckart", "--A", "3.5", "--beta", "1.0"]
@@ -88,6 +88,8 @@ def test_spectrum_non_finite_parameters_are_bad_input(argv, capsys):
         ["verify", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--method", "residual"],
         ["sample", "--what", "psi", "--model", "eckart", "--A", "1e9", "--beta", "1.0", "--N", "0"],
         ["liouville-check", "--alpha", "0.5", "--C=-1e300"],
+        ["sample", "--what", "psi", "--model", "hulthen", "--alpha", "0.5", "--C=-1e12", "--sigma", "-1", "--N", "0",
+         "--samples", "3"],
     ],
 )
 def test_unbounded_enumerations_are_bad_input(argv, capsys):
@@ -95,6 +97,45 @@ def test_unbounded_enumerations_are_bad_input(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "level_args, message",
+    [
+        (["--model", "eckart", "--A", "1e9", "--beta", "1.0", "--N", "0"],
+         "eckart level bound A - 1 = 1e+09 exceeds MAX_LEVELS = 10000"),
+        (["--model", "pt", "--alpha", "1e9", "--beta", "1.7", "--sigma", "-1", "--tau", "-1", "--N", "0"],
+         "pt level bound (alpha + beta - 1)/2 = 5e+08 exceeds MAX_LEVELS = 10000"),
+        (["--model", "hulthen", "--alpha", "0.5", "--C=-1e12", "--sigma", "-1", "--N", "0"],
+         "hulthen level bound = 500000 exceeds MAX_LEVELS = 10000"),
+    ],
+    ids=["eckart", "pt", "hulthen"],
+)
+def test_a_level_lookup_is_refused_by_its_own_model_bound(level_args, message, capsys):
+    assert run(["sample", "--what", "psi", *level_args, "--samples", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, enumerations",
+    [
+        (["verify", *ECKART_ARGS, "--method", "residual"], 1),
+        (["verify", *PT_ARGS, "--method", "residual"], 1),
+        (["verify", *HULTHEN_ARGS, "--method", "residual"], 1),
+        (["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", "50"], 1),
+        (["sample", "--what", "psi", *HULTHEN_ARGS, "--sigma", "-1", "--N", "1", "--samples", "50"], 0),
+        (["sample", "--what", "psi", *PT_ARGS, "--sigma", "-1", "--tau", "-1", "--N", "2", "--samples", "50"], 0),
+    ],
+    ids=["verify-eckart", "verify-pt", "verify-hulthen", "liouville-check", "sample-hulthen", "sample-pt"],
+)
+def test_a_report_enumerates_its_spectrum_at_most_once(argv, enumerations, monkeypatch, capsys):
+    calls = []
+    for name in ("eckart_levels", "pt_levels", "hulthen_levels"):
+        enumerate_levels = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda p, f=enumerate_levels: calls.append(p) or f(p))
+    assert run(argv) in (0, 1)
+    assert capsys.readouterr().out.count("\n") > 3
+    assert len(calls) == enumerations
 
 
 def test_hulthen_without_levels_is_not_refused(capsys):
@@ -477,9 +518,23 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
          "potential not finite at t = 0.0 (1 of 3 points)"),
         (["liouville-check", "--alpha", "1.48", "--C", "0", "--eps", "1e-320", "--n-samples", "7"],
          "epsilon=1e-320 is too small: sin(epsilon)^2 is not a normal float"),
+        (["sample", "--what", "potential", "--model", "pt", "--alpha", "2", "--beta", "1e308", "--samples", "3"],
+         "beta=1e+308 is too large: beta^2 overflows"),
+        (["sample", "--what", "psi", *ECKART_ARGS, "--N", "1", "--samples", "5", "--L", "1e6"],
+         "eigenfunction not finite at t = -1000000.0 (5 of 5 points)"),
+        (["sample", "--what", "contour", "--arch", "--samples", "3", "--L", "800"],
+         "contour point not finite at t = -800.0 (2 of 3 points)"),
+        (["sample", "--what", "contour", "--samples", "3", "--L", "inf"],
+         "contour point not finite at t = nan (3 of 3 points)"),
+        (["verify", "--model", "eckart", "--A", "1.0000000000000002", "--beta", "1e6", "--method", "residual"],
+         "eigenfunction not finite at t = -8.0 (16001 of 16001 points)"),
+        (["liouville-check", "--alpha", "1.5707963", "--C", "1e154", "--n-samples", "50"],
+         "transformed potential not finite at t = -0.204081632653061 (2 of 50 points)"),
     ],
     ids=["liouville-check", "sample-potential", "sample-potential-B", "verify-fd",
-         "eckart-beta-squared", "hulthen-kappa-squared", "eckart-energy", "eckart-potential", "subnormal-eps"],
+         "eckart-beta-squared", "hulthen-kappa-squared", "eckart-energy", "eckart-potential", "subnormal-eps",
+         "pt-beta-squared", "eckart-psi-far-out", "arch-points", "line-points", "eckart-residual-psi",
+         "liouville-transformed-potential"],
 )
 def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert run(argv) == 2
@@ -512,6 +567,28 @@ def test_a_potential_not_finite_at_one_point_is_bad_input(argv, name, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(r"error: potential not finite at t = \S+ \(1 of \d+ points\)\n", err), err
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", *PT_ARGS, "--method", "fd", "--grid-n", "200"],
+        ["verify", *PT_ARGS, "--method", "residual", "--grid-L", "2"],
+        ["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", "7"],
+    ],
+    ids=["verify-fd", "verify-residual", "liouville-check"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_tolerance_that_is_not_finite_is_bad_input(source, argv, tol, tmp_path, capsys):
+    if source == "flag":
+        argv = [*argv, f"--tol={tol}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": float(tol)}))
+        argv = [*argv, "--config", str(cfg)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --tol must be finite, got {float(tol)}\n")
 
 
 _JSON = st.recursive(
@@ -677,3 +754,55 @@ def test_option_surface_is_unchanged():
         for name, sp in sub.choices.items()
     }
     assert surface == OPTION_SURFACE
+
+
+# ---- the exit-code contract as a property ------------------------------------------
+
+#: numbers the argv property draws from: edge values, and uniform floats on a 0.01 grid in [-10, 10]
+_EDGE_NUMBERS = ("0", "1", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e154", "1.0000000000000002")
+_NUMBERS = st.sampled_from(_EDGE_NUMBERS) | st.integers(-1000, 1000).map(lambda k: repr(k / 100))
+#: --grid-n, --samples, --n-samples and --N stay small, so one example costs milliseconds
+_INTS = st.integers(-2, 40).map(str)
+_RANGES = st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(":".join)
+
+
+def _option_value(option):
+    """Values for one OPTION_SURFACE row; None for a flag that takes no value."""
+    _, _, kind, _, choices, default = option
+    if choices is not None:
+        return st.sampled_from([str(c) for c in choices])
+    if default is False:
+        return st.none()
+    return {"int": _INTS, "str": _RANGES | _NUMBERS}.get(kind, _NUMBERS)
+
+
+@st.composite
+def _argv(draw) -> list:
+    """A subcommand with its required options and each other one but --out and --config
+    (which name files) at even odds."""
+    command = draw(st.sampled_from(sorted(OPTION_SURFACE)))
+    options = [o for o in OPTION_SURFACE[command] if o[0] not in ("--out", "--config")]
+    argv = [command]
+    for option in [o for o in options if o[3] or draw(st.booleans())]:
+        value = draw(_option_value(option))
+        argv.append(option[0] if value is None else f"{option[0]}={value}")
+    return argv
+
+
+_CATCH_ALL = re.compile(r"^error: [A-Za-z_.]*Error: ", re.MULTILINE)
+_NON_FINITE = re.compile(r"\b(?:NaN|Infinity|inf|nan)\b")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not _CATCH_ALL.search(err.getvalue()), (argv, err.getvalue())
+    assert not _NON_FINITE.search(out.getvalue()), (argv, _NON_FINITE.search(out.getvalue()))

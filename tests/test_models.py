@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE
+from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, POOL_DOMAINS, PT_FIXTURE
 from ptspec.contour import ArchContour, SampledContour, ShiftedLine, arch_point
 from ptspec.errors import AsymmetricGrid, EpsilonOutOfRange, SingularPoint
 from ptspec.models import (
@@ -196,20 +196,11 @@ def test_symmetry_on_natural_contours():
     assert pt_symmetry_check(HULTHEN_FIXTURE, ArchContour(0.5), t_arch) < 1e-12
 
 
-#: the parameter ranges the benchmark pools draw from (bench/make_pools.py): open
-#: intervals, but Eckart's beta in [0, 3)
-_POOL_DOMAINS = {
-    "eckart": ((1.0, 6.0, True), (0.0, 3.0, False)),
-    "pt": ((0.1, 6.0, True), (0.1, 6.0, True)),
-    "hulthen": ((0.1, 5.0, True), (-30.0, -0.1, True)),
-}
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_POOL_DOMAINS)), st.floats(0.2, 1.2, exclude_max=True), st.data())
+@given(st.sampled_from(sorted(POOL_DOMAINS)), st.floats(0.2, 1.2, exclude_max=True), st.data())
 def test_potentials_are_pt_symmetric_over_the_pool_domains(name, eps, data):
     kind = MODELS[name]
-    (a_lo, a_hi, a_open), (b_lo, b_hi, b_open) = _POOL_DOMAINS[name]
+    (a_lo, a_hi, a_open), (b_lo, b_hi, b_open) = POOL_DOMAINS[name]
     a = data.draw(st.floats(a_lo, a_hi, exclude_min=a_open, exclude_max=True))
     b = data.draw(st.floats(b_lo, b_hi, exclude_min=b_open, exclude_max=True))
     model = kind.build(a, b, eps)

@@ -7,12 +7,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ECKART_ENERGIES,
     ECKART_FIXTURE,
     HULTHEN_FIXTURE,
     HULTHEN_TABLE,
+    POOL_DOMAINS,
     PT_ENERGIES_MM,
     PT_ENERGY_MP,
     PT_FIXTURE,
@@ -20,17 +23,21 @@ from helpers import (
 )
 from ptspec import spectra
 from ptspec.errors import DegenerateBeta, IndexOutOfRange, LevelMismatch, OutsideFamily
-from ptspec.models import EckartParams, HulthenParams, PTParams
+from ptspec.models import MODELS, EckartParams, HulthenParams, PTParams
 from ptspec.spectra import (
     Level,
     check_level,
     eckart_gap,
+    eckart_level,
     eckart_levels,
     family_key,
     hulthen_level,
     hulthen_levels,
+    level_of,
+    pt_level,
     pt_levels,
     pt_levels_complex,
+    spectrum_of,
     spectrum_to_csv,
     spectrum_to_json,
 )
@@ -281,6 +288,13 @@ def test_level_cap_is_checked_on_the_closed_form_bound(monkeypatch):
     monkeypatch.setattr(spectra, "MAX_LEVELS", 1)
     with pytest.raises(ValueError, match="MAX_LEVELS"):
         hulthen_levels(HULTHEN_FIXTURE)
+    # each level builder checks its model's bound, so a lookup is refused as the enumeration is
+    with pytest.raises(ValueError, match=r"^hulthen level bound = 2 exceeds MAX_LEVELS = 1$"):
+        hulthen_level(HULTHEN_FIXTURE, -1, 0)
+    with pytest.raises(ValueError, match=r"^pt level bound \(alpha \+ beta - 1\)/2 = 2\.5 exceeds MAX_LEVELS = 1$"):
+        pt_level(PT_FIXTURE, -1, -1, 0)
+    with pytest.raises(ValueError, match=r"^eckart level bound A - 1 = 2\.5 exceeds MAX_LEVELS = 1$"):
+        eckart_level(ECKART_FIXTURE, 0)
 
 
 def _hulthen_levels_on_the_candidate_bound(p: HulthenParams) -> tuple:
@@ -381,3 +395,59 @@ def test_check_level_rejects_mismatches():
         check_level(ECKART_FIXTURE, dataclasses.replace(eck, energy=eck.energy + 0.5))
     with pytest.raises(TypeError):
         check_level(object(), eck)
+
+
+def test_check_level_returns_the_canonical_level():
+    lv = pt_levels(PT_FIXTURE).levels[1]
+    nearby = dataclasses.replace(lv, energy=lv.energy * (1 + 1e-12), internal={})
+    assert check_level(PT_FIXTURE, nearby) == lv
+
+
+# ---- one level per key ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: eckart_level(ECKART_FIXTURE, -1),
+        lambda: eckart_level(ECKART_FIXTURE, 3),
+        lambda: pt_level(PT_FIXTURE, -1, -1, -1),
+        lambda: pt_level(PT_FIXTURE, -1, -1, 3),
+        lambda: pt_level(PT_FIXTURE, +1, +1, 0),
+        lambda: pt_level(PT_FIXTURE, None, -1, 0),
+        lambda: pt_level(PT_FIXTURE, -1, 0, 0),
+        lambda: hulthen_level(HULTHEN_FIXTURE, -1, -1),
+        lambda: hulthen_level(HULTHEN_FIXTURE, None, 0),
+    ],
+    ids=["eckart-N-1", "eckart-past", "pt-N-1", "pt-past", "pt-empty-family", "pt-no-sigma", "pt-tau-0",
+         "hulthen-N-1", "hulthen-no-sigma"],
+)
+def test_level_builders_refuse_keys_outside_their_family(build):
+    with pytest.raises(OutsideFamily):
+        build()
+
+
+def _families(name: str) -> list:
+    """The (sigma, tau) of every family a model's levels can be in."""
+    return [(None, None)] if name == "eckart" else [(s, t) for s in (-1, 1) for t in (-1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(POOL_DOMAINS)), st.floats(0.4, 1.2, exclude_max=True), st.data())
+def test_every_level_is_the_one_level_at_its_key_over_the_pool_domains(name, eps, data):
+    kind = MODELS[name]
+    (a_lo, a_hi, a_open), (b_lo, b_hi, b_open) = POOL_DOMAINS[name]
+    a = data.draw(st.floats(a_lo, a_hi, exclude_min=a_open, exclude_max=True))
+    b = data.draw(st.floats(b_lo, b_hi, exclude_min=b_open, exclude_max=True))
+    model = kind.build(a, b, eps)
+    past = {}  # (sigma, tau) -> the N one past the family's last level
+    for lv in spectrum_of(model).levels:
+        assert check_level(model, lv) == lv
+        assert level_of(model, sigma=lv.sigma, tau=lv.tau, N=lv.N) == lv
+        assert level_of(model, **{k: getattr(lv, k) for k in kind.level_key}) == lv
+        past[(lv.sigma, lv.tau)] = max(past.get((lv.sigma, lv.tau), 0), lv.N + 1)
+    for sigma, tau in _families(name):
+        for n in (-1, past.get((sigma, tau), 0)):
+            assert level_of(model, sigma=sigma, tau=tau, N=n) is None, (sigma, tau, n)
+            with pytest.raises(LevelMismatch):
+                check_level(model, Level(name, n, sigma, tau, 0.0))
