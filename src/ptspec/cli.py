@@ -85,16 +85,25 @@ def _check_points(option: str, count: float) -> None:
         raise ValueError(f"{option} asks for {count:.0f} points; at most {MAX_SWEEP_VALUES} are allowed")
 
 
+def _check_window(option: str, half_width: float) -> float:
+    """``half_width``; ValueError naming ``option`` unless it is a positive finite half-width."""
+    if not 0.0 < half_width < math.inf:
+        raise ValueError(f"{option} must be a positive finite half-width, got {half_width}")
+    return half_width
+
+
 def _resolve(args, name, default):
     val = getattr(args, name, None)
     return default if val is None else val
 
 
 def _tol(args, default: float) -> float:
-    """``--tol`` (from the flag, --config or ``default``); ValueError unless it is finite."""
+    """``--tol`` (from the flag, --config or ``default``); ValueError unless it is finite and positive."""
     tol = float(_resolve(args, "tol", default))
     if not math.isfinite(tol):
         raise ValueError(f"--tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValueError(f"--tol must be positive, got {tol}")
     return tol
 
 
@@ -138,12 +147,12 @@ def cmd_verify(args) -> int:
         tol = _tol(args, 1e-2)
         n = int(_resolve(args, "grid_n", 1500))
         _check_points("--grid-n", n)
-        grid = oracle.GridSpec(L=float(_resolve(args, "grid_L", 12.0)), n=n)
+        grid = oracle.GridSpec(L=_check_window("--grid-L", float(_resolve(args, "grid_L", 12.0))), n=n)
         opr = oracle.discretize(model, ShiftedLine(epsilon=eps, L=grid.L), grid)
         doc = oracle.match_levels(spectrum, opr, tol=tol, seed=_seed())
     elif method == "residual":
         tol = _tol(args, 1e-6)
-        window = float(_resolve(args, "grid_L", kind.residual_window))
+        window = _check_window("--grid-L", float(_resolve(args, "grid_L", kind.residual_window)))
         contour = kind.contour(epsilon=eps, L=window)
         _check_points("--grid-L", 2 * window / RESIDUAL_H + 1)
         t = np.arange(-window, window + RESIDUAL_H / 2, RESIDUAL_H)
@@ -176,7 +185,7 @@ def cmd_sample(args) -> int:
     else:
         kind, model = _model_from_args(args)
         shape, potential = kind.contour, potential_fn(model)
-    L = float(_resolve(args, "L", shape.L))
+    L = _check_window("--L", float(_resolve(args, "L", shape.L)))
     contour = shape(float(_resolve(args, "eps", 0.5)), L)
     _check_points("--samples", n_samples)
     samples = SampledContour(contour, np.linspace(-L, L, n_samples), potential)

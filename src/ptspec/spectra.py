@@ -8,7 +8,6 @@ enumerator of any parameter record through the model table.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,11 +29,6 @@ def _check_count(bound: str, count: float) -> float:
     if count > MAX_LEVELS:
         raise ValueError(f"{bound} = {count:.6g} exceeds MAX_LEVELS = {MAX_LEVELS}")
     return count
-
-
-def _family(model, **signs) -> list:
-    """The levels N = 0, 1, ... of ``model`` with the family ``signs``, up to the first N outside it."""
-    return list(itertools.takewhile(bool, (level_of(model, N=n, **signs) for n in itertools.count())))
 
 
 def family_key(sigma: int | None, tau: int | None) -> str:
@@ -135,9 +129,14 @@ def eckart_level(p: EckartParams, n: int) -> Level:
     return Level("eckart", n, None, None, float(-(d**2) + p.beta**2 / d**2), internal)
 
 
+def _eckart_count(p: EckartParams) -> int:
+    """How many levels ``eckart_level`` builds: the N >= 0 below A - 1, which are exactly the N < ceil(A - 1)."""
+    return max(0, math.ceil(p.A - 1.0))
+
+
 def eckart_levels(p: EckartParams) -> Spectrum:
     """All levels N = 0, 1, ... below A - 1, each from ``eckart_level``."""
-    levels = _family(p)
+    levels = [eckart_level(p, n) for n in range(_eckart_count(p))]
     return Spectrum(
         model="eckart",
         params={"A": p.A, "beta": p.beta},
@@ -148,10 +147,9 @@ def eckart_levels(p: EckartParams) -> Spectrum:
 
 def eckart_gap(p: EckartParams, n: int) -> float:
     """E_N - E_{N-1} for 1 <= N <= N_max; always exceeds 1."""
-    lower, upper = level_of(p, N=n - 1), level_of(p, N=n)
-    if lower is None or upper is None:
-        raise IndexOutOfRange(f"gap index N={n} outside 1..{math.ceil(p.A - 1.0) - 1}")
-    return upper.energy - lower.energy
+    if not 1 <= n < _eckart_count(p):
+        raise IndexOutOfRange(f"gap index N={n} outside 1..{_eckart_count(p) - 1}")
+    return eckart_level(p, n).energy - eckart_level(p, n - 1).energy
 
 
 # ---- poschl-teller -----------------------------------------------------------
@@ -178,12 +176,13 @@ def pt_level(p: PTParams, sigma: int, tau: int, n: int) -> Level:
 
 def pt_levels(p: PTParams) -> Spectrum:
     """The four sign families filled N = 0, 1, ...; (+,+) is empty, and (-,-) fills first as alpha + beta grows."""
-    families = {family_key(sg, ta): _family(p, sigma=sg, tau=ta) for sg, ta in _FAMILY_ORDER}
+    # 2N + 1 < m = -(s*alpha + t*beta) exactly when N < ceil((m - 1)/2): m - 1 and /2 are exact for 1 <= m < 2^53
+    counts = {(s, t): max(0, math.ceil((-(s * p.alpha + t * p.beta) - 1.0) / 2)) for s, t in _FAMILY_ORDER}
     return Spectrum(
         model="pt",
         params={"alpha": p.alpha, "beta": p.beta, "epsilon": p.epsilon},
-        levels=[lv for fam in families.values() for lv in fam],
-        family_counts={key: len(fam) for key, fam in families.items()},
+        levels=[pt_level(p, s, t, n) for (s, t), count in counts.items() for n in range(count)],
+        family_counts={family_key(s, t): count for (s, t), count in counts.items()},
     )
 
 

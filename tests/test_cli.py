@@ -525,7 +525,7 @@ def test_unexpected_exception_is_a_usage_error(monkeypatch, capsys):
         (["sample", "--what", "contour", "--arch", "--samples", "3", "--L", "800"],
          "contour point not finite at t = -800.0 (2 of 3 points)"),
         (["sample", "--what", "contour", "--samples", "3", "--L", "inf"],
-         "contour point not finite at t = nan (3 of 3 points)"),
+         "--L must be a positive finite half-width, got inf"),
         (["verify", "--model", "eckart", "--A", "1.0000000000000002", "--beta", "1e6", "--method", "residual"],
          "eigenfunction not finite at t = -8.0 (16001 of 16001 points)"),
         (["liouville-check", "--alpha", "1.5707963", "--C", "1e154", "--n-samples", "50"],
@@ -589,6 +589,50 @@ def test_a_tolerance_that_is_not_finite_is_bad_input(source, argv, tol, tmp_path
         argv = [*argv, "--config", str(cfg)]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: --tol must be finite, got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "-0.0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", *PT_ARGS, "--method", "fd", "--grid-n", "200"],
+        ["verify", *PT_ARGS, "--method", "residual", "--grid-L", "2"],
+        ["liouville-check", "--alpha", "0.5", "--C", "-9", "--n-samples", "7"],
+    ],
+    ids=["verify-fd", "verify-residual", "liouville-check"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_tolerance_that_is_not_positive_is_bad_input(source, argv, tol, tmp_path, capsys):
+    # a check "< tol" fails every level here, so this would read as a failed verification (exit 1)
+    if source == "flag":
+        argv = [*argv, f"--tol={tol}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": float(tol)}))
+        argv = [*argv, "--config", str(cfg)]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --tol must be positive, got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("width", ["0", "-2", "inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sample", "--what", "contour", "--samples", "3"], "--L"),
+        (["sample", "--what", "contour", "--arch", "--samples", "3"], "--L"),
+        (["sample", "--what", "psi", *PT_ARGS, "--sigma", "-1", "--tau", "-1", "--N", "0", "--samples", "3"], "--L"),
+        (["verify", *PT_ARGS, "--method", "fd", "--grid-n", "200"], "--grid-L"),
+        (["verify", *PT_ARGS, "--method", "residual"], "--grid-L"),
+    ],
+    ids=["sample-line", "sample-arch", "sample-psi", "verify-fd", "verify-residual"],
+)
+def test_a_window_that_is_not_a_positive_finite_half_width_is_bad_input(argv, option, width, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option.lstrip("-"): float(width)}))
+    message = f"error: {option} must be a positive finite half-width, got {float(width)}\n"
+    for args in ([*argv, f"{option}={width}"], [*argv, "--config", str(cfg)]):
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 _JSON = st.recursive(

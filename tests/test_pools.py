@@ -1,14 +1,15 @@
 """What the benchmark in ``bench/`` relies on, checked without running it.
 
 * Pool replay: every digest entry of the ``residual-scan`` and ``cli-cold``
-  pools, replayed in process with its PTSPEC_SEED, must print the bytes the
-  pool recorded, and every FD entry of the ``fd-grid`` and ``cli-cold`` pools
-  must exit with the code it exits with today and print the same report.  A
-  benchmark run counts a moved digest as a failed request, and an FD
-  request's exit code is what its failure share counts; the pools record no
-  digest for FD reports, so one SHA-256 over all of them is pinned here.
-  (The ``export`` pool takes about half a minute in process, so it is
-  replayed by hand, not here.)
+  pools, and of the ``export`` pool's ``spectrum-*`` and ``sweep-*`` strata
+  (the enumerators' JSON and CSV bytes), replayed in process with its
+  PTSPEC_SEED, must print the bytes the pool recorded, and every FD entry of
+  the ``fd-grid`` and ``cli-cold`` pools must exit with the code it exits with
+  today and print the same report.  A benchmark run counts a moved digest as a
+  failed request, and an FD request's exit code is what its failure share
+  counts; the pools record no digest for FD reports, so one SHA-256 over all
+  of them is pinned here.  (The export pool's ``sample-*`` strata take about
+  half a minute in process, so they are replayed by hand, not here.)
 * The tracing table: every ``(module, function)`` that ``bench/tracing.py``
   wraps must exist, and the arguments its facts read by position must still
   be the points arguments.  A renamed or reordered function would otherwise
@@ -64,9 +65,9 @@ def _replay(entry, monkeypatch, capsys) -> tuple:
 
 
 def _digest_strata():
-    for name in ("residual-scan", "cli-cold"):
+    for name, prefixes in (("residual-scan", ("",)), ("cli-cold", ("",)), ("export", ("spectrum-", "sweep-"))):
         for stratum, entries in sorted(_pool(name)["strata"].items()):
-            if entries[0]["sha256"] is not None:
+            if entries[0]["sha256"] is not None and stratum.startswith(prefixes):
                 yield pytest.param(entries, id=f"{name}/{stratum}")
 
 

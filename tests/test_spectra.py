@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -451,3 +452,72 @@ def test_every_level_is_the_one_level_at_its_key_over_the_pool_domains(name, eps
             assert level_of(model, sigma=sigma, tau=tau, N=n) is None, (sigma, tau, n)
             with pytest.raises(LevelMismatch):
                 check_level(model, Level(name, n, sigma, tau, 0.0))
+
+
+# ---- each family is a closed-form range -------------------------------------------
+
+
+def _ulp_neighbours(x: float):
+    """``x`` and the floats one ulp either side of it."""
+    return st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+
+
+@st.composite
+def _models_on_a_family_bound(draw):
+    """An Eckart model with A at an integer k, k +- 1 ulp or k + 1/2, or a PT model whose
+    alpha + beta or alpha - beta sits at an odd integer or one ulp from it: the places where
+    a count from the closed form could be one off."""
+    if draw(st.booleans()):
+        k = draw(st.integers(-2, 40))
+        A = draw(_ulp_neighbours(float(k)) | st.just(k + 0.5))
+        return EckartParams(A, draw(st.floats(0.0, 3.0)))
+    m = 2 * draw(st.integers(0, 30)) + 1
+    if draw(st.booleans()):
+        # a dyadic beta below m makes alpha = target - beta exact, so alpha + beta is the target
+        target, beta = draw(_ulp_neighbours(float(m))), draw(st.integers(1, 7)) / 8
+        alpha = target - beta
+        assert alpha + beta == target
+    else:
+        # beta >= m makes alpha - beta exact (Sterbenz), so it is m or one ulp of alpha from it
+        beta = float(m + draw(st.integers(0, 4)))
+        alpha = draw(_ulp_neighbours(m + beta))
+        assert abs(alpha - beta - m) <= math.ulp(alpha)
+    return PTParams(alpha, beta, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models_on_a_family_bound())
+def test_each_family_is_the_levels_below_the_first_key_its_builder_refuses(model):
+    spectrum = spectrum_of(model)
+    if isinstance(model, EckartParams):
+        families = {(None, None): lambda n: eckart_level(model, n)}
+    else:
+        families = {(s, t): (lambda n, s=s, t=t: pt_level(model, s, t, n)) for s in (-1, 1) for t in (-1, 1)}
+    for (sigma, tau), build in families.items():
+        ns = [lv.N for lv in spectrum.levels if (lv.sigma, lv.tau) == (sigma, tau)]
+        count = len(ns)
+        assert ns == list(range(count))
+        assert spectrum.family_counts[family_key(sigma, tau)] == count
+        with pytest.raises(OutsideFamily):
+            build(count)
+
+
+def test_eckart_and_pt_enumerations_look_no_level_up(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "level_of", counted(spectra.level_of))
+    monkeypatch.setattr(spectra, "model_kind", counted(spectra.model_kind))
+    rng = np.random.default_rng(26)
+    levels = 0
+    for name, enumerate_levels in (("eckart", eckart_levels), ("pt", pt_levels)):
+        (a_lo, a_hi, _), (b_lo, b_hi, _) = POOL_DOMAINS[name]
+        for a, b in zip(rng.uniform(a_lo, a_hi, 100), rng.uniform(b_lo, b_hi, 100)):
+            levels += len(enumerate_levels(MODELS[name].build(a, b, 0.5)).levels)
+    assert levels > 0
+    assert calls == []
