@@ -247,21 +247,25 @@ def cmd_liouville_check(args) -> int:
     _check_points("--n-samples", n_samples)
     tol = _tol(args, 1e-9)
 
-    samples = SampledContour(ArchContour(eps), np.linspace(-10.0, 10.0, n_samples), potential_fn(model))
-    samples.inverse_map  # built and checked before the levels, even if there are none
-    per_level = []
-    for lv in spectrum_of(model).levels:
-        dev = verify_hulthen_identity(model, samples, lv)
-        per_level.append(
-            {
-                "sigma": lv.sigma,
-                "n": lv.N,
-                "tau": lv.tau,
-                "beta_eff": lv.internal["beta_eff"].real,
-                "kappa": lv.internal["kappa"].real,
-                "max_deviation": dev,
-            }
-        )
+    t = np.linspace(-10.0, 10.0, n_samples)
+    # every array is point by point and only maxima are kept, so blocks of t give the whole grid's bytes
+    block_devs, levels = [], None
+    for samples in SampledContour.blocks(ArchContour(eps), t, potential_fn(model)):
+        samples.inverse_map  # built and checked before the levels, even if there are none
+        # enumerated once, after the first block's checks, so their errors come first
+        levels = spectrum_of(model).levels if levels is None else levels
+        block_devs.append([verify_hulthen_identity(model, samples, lv) for lv in levels])
+    per_level = [
+        {
+            "sigma": lv.sigma,
+            "n": lv.N,
+            "tau": lv.tau,
+            "beta_eff": lv.internal["beta_eff"].real,
+            "kappa": lv.internal["kappa"].real,
+            "max_deviation": max(devs),
+        }
+        for lv, devs in zip(levels, zip(*block_devs))
+    ]
     max_dev = max((p["max_deviation"] for p in per_level), default=0.0)
     doc = {
         "alpha": model.alpha,

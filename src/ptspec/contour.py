@@ -10,6 +10,15 @@ A ``SampledContour`` holds a contour at parameter values t with its chart
 and the potential there: the finite-difference operator, the residual check,
 ``sample`` and the Liouville identity check all read V from it, and its one
 finiteness check covers the points, V, eigenfunctions and transformed V.
+Those four are evaluated with numpy's floating-point warnings off: a value
+that overflows is reported once, by name, by that check, and nothing else.
+
+The Liouville identity check reads every array point by point and keeps only
+maxima, so it samples the arch in consecutive blocks of at most
+``BLOCK_POINTS`` values of t (``SampledContour.blocks``): its working set is
+O(BLOCK_POINTS) plus the 8 bytes per sample of t, whatever the sample count.
+The residual check and the eigenfunctions read neighbouring points (stencils,
+branch-tracked powers), so they sample the whole grid at once.
 """
 
 from __future__ import annotations
@@ -26,6 +35,10 @@ from .errors import (AsymmetricGrid, EpsilonOutOfRange, GridTooCoarse, SingularP
 from .specfun import complex_power_tracked, tracked_log
 
 _SINGULAR_TOL = 1e-12
+
+#: most points of one block: 128 KiB per complex array, so the dozen arrays a
+#: block of the Liouville check holds at once fit in a 2 MiB L2 cache
+BLOCK_POINTS = 8192
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -226,6 +239,13 @@ class SampledContour:
     def __len__(self) -> int:
         return len(self.t)
 
+    @classmethod
+    def blocks(cls, contour, t, potential=None):
+        """The SampledContours of consecutive slices of ``t``, at most BLOCK_POINTS
+        points each, made one at a time."""
+        for lo in range(0, len(t), BLOCK_POINTS):
+            yield cls(contour, t[lo : lo + BLOCK_POINTS], potential)
+
     def finite(self, what: str, values) -> np.ndarray:
         """``values`` as an array; SingularPotentialOnGrid names ``what`` and the first t where it is not finite."""
         values = np.asarray(values)
@@ -237,7 +257,9 @@ class SampledContour:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return self.finite("contour point", self.contour.point(self.t))
+        with np.errstate(all="ignore"):
+            xi = self.contour.point(self.t)
+        return self.finite("contour point", xi)
 
     @cached_property
     def chart(self) -> Chart | ArchChart:
@@ -246,7 +268,9 @@ class SampledContour:
     @cached_property
     def v(self) -> np.ndarray:
         """The potential at ``xi``, checked by ``finite``."""
-        return self.finite("potential", np.asarray(self.potential(self.chart), dtype=complex))
+        with np.errstate(all="ignore"):
+            v = np.asarray(self.potential(self.chart), dtype=complex)
+        return self.finite("potential", v)
 
     @cached_property
     def inverse_map(self) -> ArchChart:

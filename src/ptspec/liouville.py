@@ -43,6 +43,8 @@ def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Le
     pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), samples.contour.epsilon)
     kappa_sq = level.energy
 
-    lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, samples.inverse_map)
+    inverse = samples.inverse_map
+    with np.errstate(all="ignore"):  # a non-finite lhs is named by ``finite``
+        lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, inverse)
     rhs = samples.v - kappa_sq
     return float(np.max(np.abs(samples.finite("transformed potential", lhs) - rhs)))

@@ -159,5 +159,6 @@ def level_samples(model, level: Level, contour, t) -> tuple:
     kind = model_kind(model)
     samples = t if isinstance(t, SampledContour) else SampledContour(contour, t, potential_fn(model))
     shift = (samples.contour.epsilon,) if kind.on_arch else ()
-    psi = globals()[kind.psi](model, level, samples.chart, *shift)
+    with np.errstate(all="ignore"):  # a non-finite psi is named by ``finite``
+        psi = globals()[kind.psi](model, level, samples.chart, *shift)
     return samples.t, samples.xi, samples.finite("eigenfunction", psi)

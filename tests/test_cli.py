@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,30 @@ def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert not re.match(r"error: [A-Za-z]+Error: ", err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--model", "eckart", "--A", "1e154", "--beta", "-0.4331", "--what", "potential", "--samples", "3"],
+         "potential not finite at t = 0.0 (1 of 3 points)"),
+        (["liouville-check", "--alpha", "1.5707963", "--C", "1e154", "--n-samples", "50"],
+         "transformed potential not finite at t = -0.204081632653061 (2 of 50 points)"),
+        (["sample", "--what", "psi", *ECKART_ARGS, "--N", "1", "--samples", "5", "--L", "1e6"],
+         "eigenfunction not finite at t = -1000000.0 (5 of 5 points)"),
+        (["sample", "--what", "contour", "--arch", "--samples", "3", "--L", "800"],
+         "contour point not finite at t = -800.0 (2 of 3 points)"),
+    ],
+    ids=["eckart-potential", "liouville-transformed-potential", "eckart-psi-far-out", "arch-points"],
+)
+def test_an_overflow_is_reported_once_by_name(argv, message, capsys):
+    """No numpy RuntimeWarning ahead of the named error: stderr is the one error line,
+    whatever earlier requests in the process printed."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in seen] == []
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

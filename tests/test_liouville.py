@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import HULTHEN_FIXTURE
+from helpers import HULTHEN_FIXTURE, POOL_DOMAINS
 from ptspec import contour
 from ptspec.cli import run
 from ptspec.contour import ArchContour, Chart, arch_point, liouville_derivatives
@@ -155,16 +159,27 @@ def test_displaced_inverse_map_fails_the_algebra_check(monkeypatch):
 _CHECK_ARGV = ["liouville-check", "--alpha", "1.7491", "--C", "-20.8404"]
 
 
-def test_each_transcendental_kernel_runs_once_per_point_set(monkeypatch, capsys):
-    """On the t grid, arch_point's tanh and sinh; on the arch, e^{2i xi} and e^{i xi},
-    then arcsinh, tanh, cosh and sinh of r once, whatever the number of levels."""
-    n = 1000
+#: calls of each kernel per point set: on the t grid, arch_point's tanh and sinh; on
+#: the arch, e^{2i xi} and e^{i xi}, then arcsinh, tanh, cosh and sinh of r once
+_KERNELS_PER_POINT_SET = {
+    ("tanh", "real"): 1,
+    ("sinh", "real"): 1,
+    ("exp", "complex"): 2,
+    ("arcsinh", "complex"): 1,
+    ("tanh", "complex"): 1,
+    ("cosh", "complex"): 1,
+    ("sinh", "complex"): 1,
+}
+
+
+def _kernel_calls(monkeypatch, capsys, n):
+    """Each kernel's calls on arrays in one n-sample check, by (name, real/complex, array size)."""
     calls = collections.Counter()
 
     def counted(name, kernel):
         def call(x, *args, **kwargs):
-            if np.size(x) == n:
-                calls[name, "complex" if np.iscomplexobj(x) else "real"] += 1
+            if isinstance(x, np.ndarray):
+                calls[name, "complex" if np.iscomplexobj(x) else "real", x.size] += 1
             return kernel(x, *args, **kwargs)
 
         return call
@@ -173,27 +188,104 @@ def test_each_transcendental_kernel_runs_once_per_point_set(monkeypatch, capsys)
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     assert run([*_CHECK_ARGV, "--n-samples", str(n)]) == 0
     assert len(json.loads(capsys.readouterr().out)["per_level"]) >= 2
+    return calls
+
+
+def test_each_transcendental_kernel_runs_once_per_point_set(monkeypatch, capsys):
+    """Each kernel once on the one block of points, whatever the number of levels."""
+    n = 1000
+    assert _kernel_calls(monkeypatch, capsys, n) == {(*k, n): c for k, c in _KERNELS_PER_POINT_SET.items()}
+
+
+def test_each_transcendental_kernel_runs_once_per_block(monkeypatch, capsys):
+    """2 BLOCK_POINTS + 1 samples are two full blocks and one of a single point."""
+    full = contour.BLOCK_POINTS
+    calls = _kernel_calls(monkeypatch, capsys, 2 * full + 1)
     assert calls == {
-        ("tanh", "real"): 1,
-        ("sinh", "real"): 1,
-        ("exp", "complex"): 2,
-        ("arcsinh", "complex"): 1,
-        ("tanh", "complex"): 1,
-        ("cosh", "complex"): 1,
-        ("sinh", "complex"): 1,
+        (*k, size): c * blocks for k, c in _KERNELS_PER_POINT_SET.items() for size, blocks in ((full, 2), (1, 1))
     }
 
 
-def test_liouville_check_peak_memory_does_not_grow(capsys):
-    """The traced peak of one 1e5-sample check stays at or below 19.08 MiB (numpy
-    2.4.6): an array kept alive per point set, or one more temporary per level, shows here."""
-    argv = [*_CHECK_ARGV, "--n-samples", "100000"]
-    assert run(argv) == 0  # imports and first-call caches outside the measurement
+def _map_arrays(p, samples):
+    """V, sinh r, cosh r, r', both Jacobian terms and each level's transformed V at ``samples``."""
+    chart = samples.inverse_map
+    r, r1, jac2, jac3 = chart.inverse
+    arrays = [samples.v, r.sh, r.ch, r1, jac2, jac3]
+    for lv in hulthen_levels(p).levels:
+        pt_params = PTParams(p.alpha, float(lv.internal["beta_eff"].real), samples.contour.epsilon)
+        arrays.append(transform_potential(lambda rr, q=pt_params: v_pt(q, rr), lv.energy, chart))
+    return arrays
+
+
+@pytest.mark.parametrize("block", [1000, contour.BLOCK_POINTS])
+@pytest.mark.parametrize("n", [777, 20001, 100000])
+@pytest.mark.parametrize("p", [HULTHEN_FIXTURE, HulthenParams(1.7491, -20.8404)], ids=["fixture", "pool"])
+def test_blocks_give_the_whole_grid_bit_for_bit(p, n, block, monkeypatch):
+    t = np.linspace(-10.0, 10.0, n)
+    arch = ArchContour(0.5)
+    whole = _map_arrays(p, SampledContour(arch, t, potential_fn(p)))
+    monkeypatch.setattr(contour, "BLOCK_POINTS", block)
+    parts = [_map_arrays(p, b) for b in SampledContour.blocks(arch, t, potential_fn(p))]
+    assert len(parts) == -(-n // block)
+    for i, a in enumerate(whole):
+        blocked = np.concatenate([part[i] for part in parts])
+        assert np.array_equal(blocked.view(np.float64), a.view(np.float64)), i
+
+
+def _check_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+#: n in [1, 3 BLOCK_POINTS + 1], drawn as whole blocks plus a rest so most draws span several blocks
+_SAMPLE_COUNTS = st.builds(
+    lambda blocks, rest: min(blocks * contour.BLOCK_POINTS + rest, 3 * contour.BLOCK_POINTS + 1),
+    st.integers(0, 3),
+    st.integers(1, contour.BLOCK_POINTS),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_SAMPLE_COUNTS, st.data())
+def test_liouville_check_stdout_does_not_depend_on_the_blocks(n, data):
+    """Byte-identical stdout whether the check runs in blocks or in one block of all n points."""
+    (a_lo, a_hi, a_open), (c_lo, c_hi, c_open) = POOL_DOMAINS["hulthen"]
+    alpha = data.draw(st.floats(a_lo, a_hi, exclude_min=a_open, exclude_max=True))
+    c = data.draw(st.floats(c_lo, c_hi, exclude_min=c_open, exclude_max=True))
+    argv = ["liouville-check", "--alpha", repr(alpha), "--C", repr(c), "--n-samples", str(n)]
+    blocked = _check_stdout(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contour, "BLOCK_POINTS", data.draw(st.integers(n, 4 * contour.BLOCK_POINTS)))
+        assert _check_stdout(argv) == blocked
+
+
+#: tracemalloc peak of a 1e5-sample check, measured with numpy 2.4.6 (2.34 MiB), plus 4%
+_BLOCKED_PEAK = 2.46 * 2**20
+
+
+def _traced_peak(n, capsys):
+    """The tracemalloc peak of one n-sample check, after a small one has done the imports
+    and first-call caches outside the measurement."""
+    assert run([*_CHECK_ARGV, "--n-samples", "100"]) == 0
     capsys.readouterr()
     tracemalloc.start()
     try:
-        assert run(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert run([*_CHECK_ARGV, "--n-samples", str(n)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 19.08 * 2**20
+
+
+def test_liouville_check_peak_memory_does_not_grow(capsys):
+    """The traced peak of one 1e5-sample check stays at one block's working set plus t:
+    an array kept alive per point set, one more temporary per level, or a whole-grid
+    array, shows here."""
+    assert _traced_peak(100_000, capsys) <= _BLOCKED_PEAK
+
+
+def test_liouville_check_peak_memory_grows_only_by_t(capsys):
+    """At 1e6 samples the peak grows only by t's 8 bytes per sample (9.26 MiB measured,
+    183 MiB with one whole-grid point set)."""
+    assert _traced_peak(1_000_000, capsys) <= 8 * 1_000_000 + _BLOCKED_PEAK
