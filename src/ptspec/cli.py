@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle
 from .contour import ArchContour, SampledContour, ShiftedLine
 from .errors import PtspecError
-from .liouville import verify_hulthen_identity
+from .liouville import hulthen_identity_deviations
 from .models import MODELS, potential_fn
 from .spectra import csv_text, family_key, level_of, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import level_samples, residual_check
@@ -248,13 +248,6 @@ def cmd_liouville_check(args) -> int:
     tol = _tol(args, 1e-9)
 
     t = np.linspace(-10.0, 10.0, n_samples)
-    # every array is point by point and only maxima are kept, so blocks of t give the whole grid's bytes
-    block_devs, levels = [], None
-    for samples in SampledContour.blocks(ArchContour(eps), t, potential_fn(model)):
-        samples.inverse_map  # built and checked before the levels, even if there are none
-        # enumerated once, after the first block's checks, so their errors come first
-        levels = spectrum_of(model).levels if levels is None else levels
-        block_devs.append([verify_hulthen_identity(model, samples, lv) for lv in levels])
     per_level = [
         {
             "sigma": lv.sigma,
@@ -262,9 +255,9 @@ def cmd_liouville_check(args) -> int:
             "tau": lv.tau,
             "beta_eff": lv.internal["beta_eff"].real,
             "kappa": lv.internal["kappa"].real,
-            "max_deviation": max(devs),
+            "max_deviation": dev,
         }
-        for lv, devs in zip(levels, zip(*block_devs))
+        for lv, dev in hulthen_identity_deviations(model, ArchContour(eps), t)
     ]
     max_dev = max((p["max_deviation"] for p in per_level), default=0.0)
     doc = {

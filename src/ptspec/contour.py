@@ -235,6 +235,8 @@ class SampledContour:
         self.contour = contour
         self.t = np.asarray(t, dtype=float)
         self.potential = potential
+        #: the points of the whole sample, when this one is a block of it
+        self.sample_points = len(self.t)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -244,15 +246,21 @@ class SampledContour:
         """The SampledContours of consecutive slices of ``t``, at most BLOCK_POINTS
         points each, made one at a time."""
         for lo in range(0, len(t), BLOCK_POINTS):
-            yield cls(contour, t[lo : lo + BLOCK_POINTS], potential)
+            block = cls(contour, t[lo : lo + BLOCK_POINTS], potential)
+            block.sample_points = len(t)
+            yield block
 
     def finite(self, what: str, values) -> np.ndarray:
-        """``values`` as an array; SingularPotentialOnGrid names ``what`` and the first t where it is not finite."""
+        """``values`` as an array; SingularPotentialOnGrid names ``what``, the first t where
+        it is not finite and how many of these points are not (of a block's, in a block)."""
         values = np.asarray(values)
         bad = ~np.isfinite(values)
         if bad.any():
             t = float(self.t[bad.argmax()])
-            raise SingularPotentialOnGrid(f"{what} not finite at t = {t} ({int(bad.sum())} of {len(self)} points)")
+            count = f"{int(bad.sum())} of {len(self)} points"
+            if self.sample_points != len(self):
+                count = f"{int(bad.sum())} of this block's {len(self)} points, of {self.sample_points} in all"
+            raise SingularPotentialOnGrid(f"{what} not finite at t = {t} ({count})")
         return values
 
     @cached_property

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .contour import ArchChart, SampledContour, jacobian_terms
-from .models import HulthenParams, PTParams, v_pt
-from .spectra import Level, check_level
+from .models import HulthenParams, PTParams, potential_fn, v_pt
+from .spectra import Level, check_level, spectrum_of
 
 
 def transform_potential(W, kappa_sq: float, derivatives):
@@ -39,10 +39,40 @@ def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Le
     momentum kappa, transports W(r) = v_pt(alpha, beta_eff) through the arch
     map and compares with v_hulthen(alpha, C) - kappa^2 at the samples.
     """
-    level = check_level(p, level)
-    pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), samples.contour.epsilon)
-    kappa_sq = level.energy
+    return _deviation(samples, *_partner(p, level, samples.contour.epsilon))
 
+
+def hulthen_identity_deviations(p: HulthenParams, contour, t) -> list[tuple[Level, float]]:
+    """Each level of ``p`` with its ``verify_hulthen_identity`` deviation over all of ``t``.
+
+    ``contour`` is an ``ArchContour``, sampled in ``SampledContour.blocks`` of
+    at most BLOCK_POINTS values of t; every array here is point by point, so
+    each level's largest block deviation is its whole-grid one.  Each level is
+    checked and its partner built once, in the first block, and that block
+    raises what one whole-grid sample would raise first: the map's checks,
+    then the enumeration, then each level's in turn.
+    """
+    levels, partners, devs = None, [], []
+    for samples in SampledContour.blocks(contour, t, potential_fn(p)):
+        samples.inverse_map  # built and checked before the levels, even if there are none
+        if levels is None:
+            levels = spectrum_of(p).levels
+            for lv in levels:
+                partners.append(_partner(p, lv, contour.epsilon))
+                devs.append(_deviation(samples, *partners[-1]))
+        else:
+            devs = [max(dev, _deviation(samples, *partner)) for dev, partner in zip(devs, partners)]
+    return list(zip(levels, devs))
+
+
+def _partner(p: HulthenParams, level: Level, epsilon: float) -> tuple[PTParams, float]:
+    """The sinh/cosh well that ``level``, checked against ``p``, maps to, and its kappa^2."""
+    level = check_level(p, level)
+    return PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon), level.energy
+
+
+def _deviation(samples: SampledContour, pt_params: PTParams, kappa_sq: float) -> float:
+    """Max |transformed V_PT - (V - kappa^2)| at ``samples``."""
     inverse = samples.inverse_map
     with np.errstate(all="ignore"):  # a non-finite lhs is named by ``finite``
         lhs = transform_potential(lambda rr: v_pt(pt_params, rr), kappa_sq, inverse)

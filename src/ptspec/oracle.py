@@ -127,14 +127,6 @@ def residual_floor(opr: TridiagonalOperator) -> float:
     return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
 
 
-def start_vector(n: int, seed: int) -> np.ndarray:
-    """The unit start vector of inverse iteration: complex normal draws from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    return x
-
-
 def _numpy_lapack():
     """(factor, solve) bound to numpy's bundled ILP64 OpenBLAS, or None.
 
@@ -214,9 +206,6 @@ def shift_invert_eigen(
     shift: complex,
     max_iter: int = 200,
     seed: int = DEFAULT_SEED,
-    *,
-    start: np.ndarray | None = None,
-    floor: float | None = None,
 ) -> tuple[complex, int]:
     """Eigenvalue of the operator nearest the shift, plus iterations used.
 
@@ -228,14 +217,15 @@ def shift_invert_eigen(
     c = RESIDUAL_FACTOR = 4096 and ||H|| = max|diag| + 2 |offdiag| (see
     residual_floor), and raises NoConvergence after max_iter steps.  A
     singular factorization retries with the shift perturbed by 1e-8 (1 + i),
-    at most three attempts in all.  A caller solving at several shifts passes
-    ``start_vector(n, seed)`` as ``start`` (left unchanged) and
-    ``residual_floor(opr)`` as ``floor``, made once for all of them.
+    at most three attempts in all.
     """
     factor, solve = _tridiagonal_lapack()
     n = len(opr.diag)
-    x = start_vector(n, seed) if start is None else start.copy()
-    floor = residual_floor(opr) if floor is None else floor
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+
+    floor = residual_floor(opr)
     work_shift = complex(shift)
     for _attempt in range(3):
         # the LU is made in place, and every solve overwrites y = x in place
@@ -282,9 +272,8 @@ def match_levels(
     report is the JSON document that ``verify --method fd`` prints.
     """
     rows = []
-    start, floor = start_vector(len(opr.diag), seed), residual_floor(opr)  # the same for every level
     for lv in spectrum.levels:
-        e_num, iters = shift_invert_eigen(opr, lv.energy, seed=seed, start=start, floor=floor)
+        e_num, iters = shift_invert_eigen(opr, lv.energy, seed=seed)
         delta = abs(e_num - lv.energy)
         im_abs = abs(e_num.imag)
         rows.append(

@@ -552,12 +552,15 @@ def test_inputs_that_overflowed_have_checks_of_their_own(argv, message, capsys):
          "potential not finite at t = 0.0 (1 of 3 points)"),
         (["liouville-check", "--alpha", "1.5707963", "--C", "1e154", "--n-samples", "50"],
          "transformed potential not finite at t = -0.204081632653061 (2 of 50 points)"),
+        (["liouville-check", "--alpha", "1.5707963", "--C", "1e154", "--n-samples", "100000"],
+         "transformed potential not finite at t = -0.4027040270402704 "
+         "(1166 of this block's 8192 points, of 100000 in all)"),
         (["sample", "--what", "psi", *ECKART_ARGS, "--N", "1", "--samples", "5", "--L", "1e6"],
          "eigenfunction not finite at t = -1000000.0 (5 of 5 points)"),
         (["sample", "--what", "contour", "--arch", "--samples", "3", "--L", "800"],
          "contour point not finite at t = -800.0 (2 of 3 points)"),
     ],
-    ids=["eckart-potential", "liouville-transformed-potential", "eckart-psi-far-out", "arch-points"],
+    ids=["eckart-potential", "liouville-transformed-potential", "liouville-in-blocks", "eckart-psi-far-out", "arch-points"],
 )
 def test_an_overflow_is_reported_once_by_name(argv, message, capsys):
     """No numpy RuntimeWarning ahead of the named error: stderr is the one error line,

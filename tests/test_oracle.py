@@ -25,7 +25,6 @@ from ptspec.oracle import (
     match_levels,
     residual_floor,
     shift_invert_eigen,
-    start_vector,
 )
 from ptspec.models import PTParams
 from ptspec.spectra import Level, eckart_levels, pt_levels
@@ -113,20 +112,6 @@ def test_solver_determinism_and_seed_independence():
     assert e1 == e2 and it1 == it2
     e3, _ = shift_invert_eigen(opr, target, seed=12345)
     assert abs(e1 - e3) < 1e-9
-
-
-def test_start_vector_and_floor_made_once_give_the_same_solve():
-    """match_levels draws the start vector and forms the floor once per operator;
-    each solve copies the vector, so a second solve starts from the same one."""
-    _, opr = _free_setup()
-    start = start_vector(len(opr.diag), DEFAULT_SEED)
-    kept = start.copy()
-    for m in (1, 2):
-        target = (m * math.pi / 20.0) ** 2
-        assert shift_invert_eigen(opr, target, start=start, floor=residual_floor(opr)) == shift_invert_eigen(
-            opr, target
-        )
-        assert np.array_equal(start, kept)
 
 
 def test_solver_reports_nonconvergence():
