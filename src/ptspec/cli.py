@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle
 from .contour import ArchContour, SampledContour, ShiftedLine
 from .errors import PtspecError
-from .liouville import hulthen_identity_deviations
+from .liouville import verify_hulthen_identity
 from .models import MODELS, potential_fn
 from .spectra import csv_text, family_key, level_of, spectrum_of, spectrum_to_csv, spectrum_to_json
 from .wavefun import level_samples, residual_check
@@ -257,7 +257,7 @@ def cmd_liouville_check(args) -> int:
             "kappa": lv.internal["kappa"].real,
             "max_deviation": dev,
         }
-        for lv, dev in hulthen_identity_deviations(model, ArchContour(eps), t)
+        for lv, dev in verify_hulthen_identity(model, ArchContour(eps), t)
     ]
     max_dev = max((p["max_deviation"] for p in per_level), default=0.0)
     doc = {

@@ -159,26 +159,23 @@ class Chart:
 
 
 class ArchChart:
-    """Arch points xi with q = e^{2i xi}, checked on construction to keep 1 - q off
-    zero (the map's branch point, the well's pole), and from first use ``inverse``:
-    r as its Chart, which reuses the map's cosh r, r' and the Jacobian terms, not
-    r'' or r''', and ``sqrt_r1``: r'^(1/2), branch-tracked along the points' order.
-    q may be dropped after its last reader; a later one forms it again.
+    """Arch points xi with q = e^{2i xi}, both formed and checked on construction to
+    keep 1 - q off zero (the map's branch point, the well's pole), and from first use
+    ``inverse``: r as its Chart, which reuses the map's cosh r, r' and the Jacobian
+    terms, not r'' or r''', and ``sqrt_r1``: r'^(1/2), branch-tracked along the
+    points' order.
     """
 
     def __init__(self, xi) -> None:
         xi = np.asarray(xi, dtype=complex)
         self.scalar = xi.ndim == 0
         self.xi = np.atleast_1d(xi)
+        self.q = np.exp(2j * self.xi)
         if np.any(np.abs(1.0 - self.q) < _SINGULAR_TOL):
             raise SingularPoint("exp(2i*xi) = 1: branch point of the inverse map")
 
     def __len__(self) -> int:
         return len(self.xi)
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return np.exp(2j * self.xi)
 
     @cached_property
     def inverse(self) -> tuple:
@@ -282,7 +279,7 @@ class SampledContour:
 
     @cached_property
     def inverse_map(self) -> ArchChart:
-        """The arch chart once its map passes sinh^2 r = -q and cosh^2 r = 1 - q; q goes after ``v``."""
+        """The arch chart, after ``v``, once its map passes sinh^2 r = -q and cosh^2 r = 1 - q."""
         self.v
         c = self.chart
         r, q = c.inverse[0], c.q
@@ -290,7 +287,6 @@ class SampledContour:
         piece = float(np.max(off / np.maximum(1.0, np.abs(q))))
         if piece > 1e-9:
             raise RuntimeError(f"inverse-map algebra broken: sinh^2/cosh^2 identities off by {piece}")
-        del c.q
         return c
 
     @cached_property

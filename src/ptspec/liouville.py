@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contour import ArchChart, SampledContour, jacobian_terms
+from .contour import ArchChart, ArchContour, SampledContour, jacobian_terms
+from .errors import GridTooCoarse
 from .models import HulthenParams, PTParams, potential_fn, v_pt
-from .spectra import Level, check_level, spectrum_of
+from .spectra import Level, hulthen_partner, spectrum_of
 
 
 def transform_potential(W, kappa_sq: float, derivatives):
@@ -31,44 +32,35 @@ def transform_potential(W, kappa_sq: float, derivatives):
     return np.multiply(r1**2, w) + jac2 - jac3
 
 
-def verify_hulthen_identity(p: HulthenParams, samples: SampledContour, level: Level) -> float:
-    """Max deviation of the transformed sinh/cosh well from the screened well.
+def verify_hulthen_identity(p: HulthenParams, contour: ArchContour, t) -> list[tuple[Level, float]]:
+    """Each level of ``p`` with the max deviation of its transformed sinh/cosh well from the screened well.
 
-    ``samples`` is an ``ArchContour`` sampled with ``potential_fn(p)`` as its
-    potential.  For a level of ``p`` with derived coupling beta_eff and
-    momentum kappa, transports W(r) = v_pt(alpha, beta_eff) through the arch
-    map and compares with v_hulthen(alpha, C) - kappa^2 at the samples.
+    For a level with momentum kappa, transports its ``spectra.hulthen_partner``
+    well W(r) through the map of the arch ``contour`` and compares with
+    v_hulthen(alpha, C) - kappa^2 at ``t``, sampled in ``SampledContour.blocks``:
+    every array here is point by point, so each level's largest block deviation
+    is its whole-grid one.  The first block enumerates the levels and builds each
+    partner once, and raises what one whole-grid sample would raise first: the
+    map's checks, then the enumeration, then each level's in turn.  TypeError
+    unless ``p`` is Hulthen and ``contour`` the arch, GridTooCoarse for no ``t``.
     """
-    return _deviation(samples, *_partner(p, level, samples.contour.epsilon))
-
-
-def hulthen_identity_deviations(p: HulthenParams, contour, t) -> list[tuple[Level, float]]:
-    """Each level of ``p`` with its ``verify_hulthen_identity`` deviation over all of ``t``.
-
-    ``contour`` is an ``ArchContour``, sampled in ``SampledContour.blocks`` of
-    at most BLOCK_POINTS values of t; every array here is point by point, so
-    each level's largest block deviation is its whole-grid one.  Each level is
-    checked and its partner built once, in the first block, and that block
-    raises what one whole-grid sample would raise first: the map's checks,
-    then the enumeration, then each level's in turn.
-    """
+    if not isinstance(p, HulthenParams):
+        raise TypeError(f"the identity check takes Hulthen parameters, not {type(p).__name__}")
+    if not isinstance(contour, ArchContour):
+        raise TypeError("the identity check runs on the arch only")
+    if len(t) == 0:
+        raise GridTooCoarse("the identity check needs at least 1 sample")
     levels, partners, devs = None, [], []
     for samples in SampledContour.blocks(contour, t, potential_fn(p)):
         samples.inverse_map  # built and checked before the levels, even if there are none
         if levels is None:
             levels = spectrum_of(p).levels
             for lv in levels:
-                partners.append(_partner(p, lv, contour.epsilon))
+                partners.append((hulthen_partner(p, lv, contour.epsilon), lv.energy))
                 devs.append(_deviation(samples, *partners[-1]))
         else:
             devs = [max(dev, _deviation(samples, *partner)) for dev, partner in zip(devs, partners)]
     return list(zip(levels, devs))
-
-
-def _partner(p: HulthenParams, level: Level, epsilon: float) -> tuple[PTParams, float]:
-    """The sinh/cosh well that ``level``, checked against ``p``, maps to, and its kappa^2."""
-    level = check_level(p, level)
-    return PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon), level.energy
 
 
 def _deviation(samples: SampledContour, pt_params: PTParams, kappa_sq: float) -> float:

@@ -233,6 +233,12 @@ def hulthen_level(p: HulthenParams, sigma: int, n: int) -> Level:
     return Level("hulthen", n, sigma, tau, float(kappa**2), internal)
 
 
+def hulthen_partner(p: HulthenParams, level: Level, epsilon: float) -> PTParams:
+    """The sinh/cosh well that Hulthen ``level`` of ``p`` maps to on the arch of shift epsilon;
+    its level at ``level``'s key has kappa^2 = ``level.energy``.  ``level`` is not checked here."""
+    return PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon)
+
+
 def _hulthen_stop(p: HulthenParams) -> int:
     """The candidate bound of ``hulthen_levels``, checked against MAX_LEVELS."""
     return _check_count("hulthen level bound", math.floor((math.sqrt(max(-p.C, 0.0)) + p.alpha - 1.0) / 2.0) + 1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .contour import ArchChart, Chart, SampledContour
 from .models import EckartParams, HulthenParams, PTParams, model_kind, potential_fn
-from .spectra import Level, check_level, pt_level
+from .spectra import Level, check_level, hulthen_partner, pt_level
 from .specfun import complex_power_tracked, gauss2f1_terminating, tracked_power
 
 
@@ -104,15 +104,14 @@ def pt_psi_second_branch(p: PTParams, level: Level, r):
 def hulthen_psi(p: HulthenParams, level: Level, xi, epsilon: float):
     """Eigenfunction on the arch, via the change of variables.
 
-    Psi(xi) = chi(r(xi)) / sqrt(r'(xi)) where chi is the sinh/cosh-well
-    eigenfunction of the partner level with the level's key, derived coupling beta_eff
+    Psi(xi) = chi(r(xi)) / sqrt(r'(xi)) where chi is the eigenfunction at the level's
+    key in its ``spectra.hulthen_partner`` sinh/cosh well, of derived coupling beta_eff
     and the arch shift epsilon.  ``xi`` is a scalar or an ordered array of arch points, or
     their ArchChart; powers are branch-tracked along the order given.
     """
     level = check_level(p, level)
     chart = xi if isinstance(xi, ArchChart) else ArchChart(xi)
-
-    pt_params = PTParams(p.alpha, float(level.internal["beta_eff"].real), epsilon)
+    pt_params = hulthen_partner(p, level, epsilon)
     chi = pt_psi(pt_params, pt_level(pt_params, level.sigma, level.tau, level.N), chart.inverse[0])
     return chart.out(chi / chart.sqrt_r1)
 

@@ -148,8 +148,9 @@ def test_criterion_3_hulthen_table_positive_energies_and_residuals():
 
 def test_criterion_4_change_of_variables_identity():
     spec = hulthen_levels(HULTHEN_FIXTURE)
-    samples = SampledContour(ARCH, np.linspace(-10.0, 10.0, 100), potential_fn(HULTHEN_FIXTURE))
-    per_level = max(verify_hulthen_identity(HULTHEN_FIXTURE, samples, lv) for lv in spec.levels)
+    per_level = max(
+        dev for _, dev in verify_hulthen_identity(HULTHEN_FIXTURE, ARCH, np.linspace(-10.0, 10.0, 100))
+    )
     xi = arch_point(np.linspace(-10.0, 10.0, 100), 0.5)
     fulls = []
     for lv in spec.levels:

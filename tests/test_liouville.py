@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -15,20 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HULTHEN_FIXTURE, POOL_DOMAINS
+from helpers import HULTHEN_FIXTURE, POOL_DOMAINS, PT_FIXTURE
 from ptspec import contour
 from ptspec.cli import run
-from ptspec.contour import ArchContour, Chart, arch_point, liouville_derivatives
-from ptspec.errors import LevelMismatch, VanishingJacobian
+from ptspec.contour import ArchContour, Chart, ShiftedLine, arch_point, liouville_derivatives
+from ptspec.errors import GridTooCoarse, VanishingJacobian
 from ptspec.liouville import transform_potential, verify_hulthen_identity
 from ptspec.models import HulthenParams, PTParams, potential_fn, v_hulthen, v_pt
 from ptspec.spectra import hulthen_levels
 from ptspec.wavefun import SampledContour
 
 
-def _arch_samples(p):
-    """The arch as ``liouville-check`` samples it by default."""
-    return SampledContour(ArchContour(0.5), np.linspace(-10.0, 10.0, 100), potential_fn(p))
+def _arch_deviations(p):
+    """Each level of ``p`` with its deviation on the arch as ``liouville-check`` samples it by default."""
+    return verify_hulthen_identity(p, ArchContour(0.5), np.linspace(-10.0, 10.0, 100))
 
 
 def _identity_map(xi):
@@ -80,8 +79,9 @@ def test_vanishing_jacobian_is_rejected():
 
 def test_screened_well_emerges_from_the_transform():
     p = HULTHEN_FIXTURE
-    for lv in hulthen_levels(p).levels:
-        dev = verify_hulthen_identity(p, _arch_samples(p), lv)
+    deviations = _arch_deviations(p)
+    assert [lv for lv, _ in deviations] == hulthen_levels(p).levels
+    for _, dev in deviations:
         assert dev < 1e-9
 
 
@@ -128,32 +128,38 @@ def test_identity_holds_across_random_parameters():
     checked = 0
     while checked < 30:
         p = HulthenParams(alpha=rng.uniform(0.1, 3.0), C=rng.uniform(-20.0, -0.5))
-        for lv in hulthen_levels(p).levels:
-            assert verify_hulthen_identity(p, _arch_samples(p), lv) < 1e-8
+        for _, dev in _arch_deviations(p):
+            assert dev < 1e-8
             checked += 1
             if checked >= 30:
                 break
     assert checked == 30
 
 
-def test_identity_rejects_foreign_level():
-    lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
-    other = HulthenParams(0.6, HULTHEN_FIXTURE.C)
-    with pytest.raises(LevelMismatch):
-        verify_hulthen_identity(other, _arch_samples(other), lv)
-    with pytest.raises(LevelMismatch):
-        verify_hulthen_identity(
-            HULTHEN_FIXTURE,
-            _arch_samples(HULTHEN_FIXTURE),
-            dataclasses.replace(lv, energy=lv.energy + 1.0),
-        )
+def test_identity_check_refuses_an_empty_grid(monkeypatch):
+    """An empty t is refused by name before any point is sampled: the arch has no arch_point here."""
+    monkeypatch.setattr(contour, "arch_point", None)
+    with pytest.raises(GridTooCoarse, match="at least 1 sample"):
+        verify_hulthen_identity(HULTHEN_FIXTURE, ArchContour(0.5), np.array([]))
+
+
+@pytest.mark.parametrize(
+    "p, path, message",
+    [
+        (HULTHEN_FIXTURE, ShiftedLine(0.5), "runs on the arch only"),
+        (PT_FIXTURE, ArchContour(0.5), "takes Hulthen parameters, not PTParams"),
+    ],
+    ids=["shifted-line", "pt-params"],
+)
+def test_identity_check_refuses_what_is_not_the_hulthen_arch(p, path, message):
+    with pytest.raises(TypeError, match=message):
+        verify_hulthen_identity(p, path, np.linspace(-10.0, 10.0, 100))
 
 
 def test_displaced_inverse_map_fails_the_algebra_check(monkeypatch):
     monkeypatch.setattr(contour, "liouville_derivatives", _shifted_chart_map)
-    lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
     with pytest.raises(RuntimeError, match="inverse-map algebra broken"):
-        verify_hulthen_identity(HULTHEN_FIXTURE, _arch_samples(HULTHEN_FIXTURE), lv)
+        _arch_deviations(HULTHEN_FIXTURE)
 
 
 _CHECK_ARGV = ["liouville-check", "--alpha", "1.7491", "--C", "-20.8404"]

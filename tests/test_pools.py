@@ -13,7 +13,9 @@
 * The tracing table: every ``(module, function)`` that ``bench/tracing.py``
   wraps must exist, and the arguments its facts read by position must still
   be the points arguments.  A renamed or reordered function would otherwise
-  leave a per-layer metric at 0 without any error.
+  leave a per-layer metric at 0 without any error, and so would a command that
+  calls a path around its traced function (a traced ``liouville-check`` must
+  show its one identity span).
 
 Nothing under ``bench/`` is written.
 """
@@ -141,3 +143,16 @@ def test_traced_points_arguments_are_the_points(tracing):
             tracer = tracing.Tracer()
             tracer.wrap(span, getattr(importlib.import_module(module), name))(*calls[name])
             assert tracer.spans[0].facts == {"points": _N_POINTS}, f"{module}.{name} on {points.__name__}"
+
+
+def test_traced_liouville_check_runs_one_identity_check(tracing, capsys):
+    """A traced 1e5-sample ``liouville-check`` shows its work as one identity span, which
+    checks no level it has just enumerated itself."""
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        code = run(["liouville-check", "--alpha", "1.7491", "--C", "-20.8404", "--n-samples", "100000"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["per_level"]) == 3
+    names = [span.name for span in tracer.spans]
+    assert names.count("liouville.identity") == 1
+    assert "spectra.check_level" not in names

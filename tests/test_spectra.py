@@ -394,6 +394,11 @@ def test_check_level_rejects_mismatches():
         check_level(EckartParams(2.0, 1.0), dataclasses.replace(eck, N=5))
     with pytest.raises(LevelMismatch):
         check_level(ECKART_FIXTURE, dataclasses.replace(eck, energy=eck.energy + 0.5))
+    hul = hulthen_levels(HULTHEN_FIXTURE).levels[0]
+    with pytest.raises(LevelMismatch):
+        check_level(HulthenParams(0.6, HULTHEN_FIXTURE.C), hul)
+    with pytest.raises(LevelMismatch):
+        check_level(HULTHEN_FIXTURE, dataclasses.replace(hul, energy=hul.energy + 1.0))
     with pytest.raises(TypeError):
         check_level(object(), eck)
 
