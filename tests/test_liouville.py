@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,10 +19,10 @@ from helpers import HULTHEN_FIXTURE, POOL_DOMAINS, PT_FIXTURE
 from ptspec import contour
 from ptspec.cli import run
 from ptspec.contour import ArchContour, Chart, ShiftedLine, arch_point, liouville_derivatives
-from ptspec.errors import GridTooCoarse, VanishingJacobian
+from ptspec.errors import GridTooCoarse, LevelMismatch, VanishingJacobian
 from ptspec.liouville import transform_potential, verify_hulthen_identity
 from ptspec.models import HulthenParams, PTParams, potential_fn, v_hulthen, v_pt
-from ptspec.spectra import hulthen_levels
+from ptspec.spectra import check_level, hulthen_levels
 from ptspec.wavefun import SampledContour
 
 
@@ -134,6 +135,21 @@ def test_identity_holds_across_random_parameters():
             if checked >= 30:
                 break
     assert checked == 30
+
+
+def test_identity_rejects_foreign_level():
+    """The check takes no level: it pairs each deviation with a level of ``p`` itself, never
+    with one of other parameters or with a moved energy, both of which ``check_level`` refuses."""
+    lv = hulthen_levels(HULTHEN_FIXTURE).levels[0]
+    other = HulthenParams(0.6, HULTHEN_FIXTURE.C)
+    checked = [level for level, _ in _arch_deviations(other)]
+    assert checked and checked == hulthen_levels(other).levels
+    assert all(check_level(other, level) == level for level in checked)
+    assert lv not in checked
+    with pytest.raises(LevelMismatch):
+        check_level(other, lv)
+    with pytest.raises(LevelMismatch):
+        check_level(HULTHEN_FIXTURE, dataclasses.replace(lv, energy=lv.energy + 1.0))
 
 
 def test_identity_check_refuses_an_empty_grid(monkeypatch):
