@@ -16,6 +16,13 @@ on the operator norm.  ||H|| grows like 4/h^2, so the test follows the
 rounding floor of the grid instead of a fixed absolute constant that fine
 grids cannot reach.
 
+What does not depend on the level is formed once per operator: the stopping
+floor, and the seeded unit start vector (2n standard normals), which is drawn
+once per operator and seed and held read-only; each level copies it into its
+right-hand side.  A step makes no temporary vector: H y and the residual
+H y - e y are written into two buffers per level, with the operands and order
+of the plain array expressions, so every report keeps the bits it had.
+
 The tridiagonal LU (zgttrf) and solve (zgttrs) come from the LAPACK that numpy
 already loads: numpy's wheels bundle an OpenBLAS with 64-bit integers
 (scipy-openblas, USE64BITINT), and a ctypes binding to its
@@ -85,18 +92,43 @@ class TridiagonalOperator:
     offdiag: complex
     grid: GridSpec
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.offdiag * x[1:]
-        y[1:] += self.offdiag * x[:-1]
-        return y
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+        """H x, written into ``out``; ``work`` holds the off-diagonal products.
 
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        idx = np.arange(len(self.diag) - 1)
-        m[idx, idx + 1] = self.offdiag
-        m[idx + 1, idx] = self.offdiag
-        return m
+        Both are complex n-vectors, new ones when not given.  The products and
+        sums are those of ``diag * x`` with the two off-diagonal bands added in
+        place, in that order and with the same operands, so the bits do not
+        depend on whether buffers are passed.
+        """
+        n = len(self.diag)
+        if out is None:
+            out = np.empty(n, dtype=complex)
+        if work is None:
+            work = np.empty(n, dtype=complex)
+        band = work[:-1]
+        np.multiply(self.diag, x, out=out)
+        np.multiply(self.offdiag, x[1:], out=band)
+        np.add(out[:-1], band, out=out[:-1])
+        np.multiply(self.offdiag, x[:-1], out=band)
+        np.add(out[1:], band, out=out[1:])
+        return out
+
+    @functools.cached_property
+    def floor(self) -> float:
+        """``residual_floor`` of this operator, formed on first use."""
+        return residual_floor(self)
+
+    def start_vector(self, seed: int) -> np.ndarray:
+        """The seeded unit start vector of inverse iteration, read-only.
+
+        The vector of the last seed asked for is held, so the levels of one
+        report share one draw; another seed draws again.
+        """
+        held = self.__dict__.get("_start")
+        if held is None or held[0] != seed:
+            held = (seed, _start_vector(len(self.diag), seed))
+            object.__setattr__(self, "_start", held)  # a cache, not a field
+        return held[1]
 
 
 def discretize(model, contour: ShiftedLine, grid: GridSpec) -> TridiagonalOperator:
@@ -126,6 +158,21 @@ def residual_floor(opr: TridiagonalOperator) -> float:
     """Backward-error bound RESIDUAL_FACTOR * eps * ||H|| that stops the iteration."""
     norm_h = float(np.max(np.abs(opr.diag))) + 2.0 * abs(opr.offdiag)
     return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
+
+
+def _start_vector(n: int, seed: int) -> np.ndarray:
+    """Unit complex n-vector of standard normals drawn from ``seed``, read-only."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
+
+
+def _norm(re: np.ndarray, im: np.ndarray) -> float:
+    """The 2-norm of a complex vector from its real and imaginary views, formed
+    as ``np.linalg.norm`` forms it: two real dots, their sum, one square root."""
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _numpy_lapack():
@@ -213,48 +260,42 @@ def shift_invert_eigen(
     Inverse iteration on one partial-pivoting LU factorization of H - shift
     (LAPACK zgttrf, then zgttrs on every step, from numpy's own OpenBLAS or
     else scipy: see the module docstring); the eigenvalue estimate is the
-    Rayleigh quotient of each normalized iterate y.  The iteration stops at the
-    first step it >= 2 with ||H y - e y|| <= c * eps * ||H||, where
-    c = RESIDUAL_FACTOR = 4096 and ||H|| = max|diag| + 2 |offdiag| (see
+    Rayleigh quotient of each normalized iterate y, from a copy of the
+    operator's ``start_vector(seed)``.  The iteration stops at the first step
+    it >= 2 with ||H y - e y|| <= c * eps * ||H||, where c = RESIDUAL_FACTOR =
+    4096 and ||H|| = max|diag| + 2 |offdiag| (the operator's ``floor``, see
     residual_floor), and raises NoConvergence after max_iter steps.  A
     singular factorization retries with the shift perturbed by 1e-8 (1 + i),
     at most three attempts in all.
     """
     factor, solve = _tridiagonal_lapack()
     n = len(opr.diag)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-
-    floor = residual_floor(opr)
+    floor = opr.floor
+    # H y and then the residual go to hy, the off-diagonal and e y products to work
+    y = opr.start_vector(seed).copy()
+    hy, work = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    y_re, y_im, r_re, r_im = y.real, y.imag, hy.real, hy.imag
     work_shift = complex(shift)
     for _attempt in range(3):
-        # the LU is made in place, and every solve overwrites y = x in place
+        # the LU is made in place, and every solve overwrites y in place
         off = np.full(n - 1, opr.offdiag, dtype=complex)
-        lu, info = factor(off, opr.diag - work_shift, off.copy(), x)
+        lu, info = factor(off, opr.diag - work_shift, off.copy(), y)
         if info > 0:
             work_shift += 1e-8 * (1.0 + 1.0j)
             continue
-        y = x
         for it in range(1, max_iter + 1):
             solve(lu)
-            y /= np.linalg.norm(y)
+            y /= _norm(y_re, y_im)
             if it < 2:  # the stop test waits for step 2, so step 1's residual goes unread
                 continue
-            hy = opr.matvec(y)
+            opr.matvec(y, hy, work)
             e = _rayleigh(y, hy)
-            hy -= e * y  # the residual H y - e y, reusing the Rayleigh matvec
-            if np.linalg.norm(hy) <= floor:
+            np.multiply(e, y, out=work)
+            np.subtract(hy, work, out=hy)  # the residual H y - e y, reusing the Rayleigh matvec
+            if _norm(r_re, r_im) <= floor:
                 return e, it
         raise NoConvergence(f"no eigenvalue settled near shift {shift} in {max_iter} iterations")
     raise LUBreakdown(f"tridiagonal factorization kept failing near shift {shift}")
-
-
-def dense_eigenvalues(opr: TridiagonalOperator) -> np.ndarray:
-    """Full non-Hermitian spectrum; debug path, refuses n > 400."""
-    if len(opr.diag) > 400:
-        raise ValueError("dense solver is a debug path; use n <= 400")
-    return np.linalg.eigvals(opr.to_dense())
 
 
 # ---- matching and reports ---------------------------------------------------------

@@ -70,6 +70,11 @@ def pt_psi(p: PTParams, level: Level, r):
     ``r`` is a scalar or an ordered array of contour points, or their Chart.
     """
     check_level(p, level)
+    return _pt_psi_of_checked(p, level, r)
+
+
+def _pt_psi_of_checked(p: PTParams, level: Level, r):
+    """``pt_psi`` for a level that is already ``p``'s own, without checking it again."""
     chart = Chart.of(r, cosh_too=True)
     f = _series(level, chart.minus_sh2)
     psi = (
@@ -107,12 +112,14 @@ def hulthen_psi(p: HulthenParams, level: Level, xi, epsilon: float):
     Psi(xi) = chi(r(xi)) / sqrt(r'(xi)) where chi is the eigenfunction at the level's
     key in its ``spectra.hulthen_partner`` sinh/cosh well, of derived coupling beta_eff
     and the arch shift epsilon.  ``xi`` is a scalar or an ordered array of arch points, or
-    their ArchChart; powers are branch-tracked along the order given.
+    their ArchChart; powers are branch-tracked along the order given.  Only the Hulthen
+    level is checked: the partner level is the one ``spectra.pt_level`` builds for it.
     """
     level = check_level(p, level)
     chart = xi if isinstance(xi, ArchChart) else ArchChart(xi)
     pt_params = hulthen_partner(p, level, epsilon)
-    chi = pt_psi(pt_params, pt_level(pt_params, level.sigma, level.tau, level.N), chart.inverse[0])
+    partner = pt_level(pt_params, level.sigma, level.tau, level.N)
+    chi = _pt_psi_of_checked(pt_params, partner, chart.inverse[0])
     return chart.out(chi / chart.sqrt_r1)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from ptspec.models import EckartParams, HulthenParams, PTParams
-from ptspec.oracle import GridSpec
+from ptspec.oracle import GridSpec, TridiagonalOperator
 from ptspec.spectra import Spectrum
 
 # The three parameter sets used throughout: a three-level complexified well
@@ -63,6 +63,22 @@ def free_particle_eigenvalue(grid: GridSpec, m: int = 1) -> float:
     """Exact m-th eigenvalue of the discrete Dirichlet Laplacian on the grid."""
     h = grid.h
     return 2.0 * (1.0 - np.cos(m * np.pi * h / (2.0 * grid.L))) / h**2
+
+
+def to_dense(opr: TridiagonalOperator) -> np.ndarray:
+    """The operator as a dense n x n matrix."""
+    m = np.diag(opr.diag)
+    idx = np.arange(len(opr.diag) - 1)
+    m[idx, idx + 1] = opr.offdiag
+    m[idx + 1, idx] = opr.offdiag
+    return m
+
+
+def dense_eigenvalues(opr: TridiagonalOperator) -> np.ndarray:
+    """Full non-Hermitian spectrum; debug path, refuses n > 400."""
+    if len(opr.diag) > 400:
+        raise ValueError("dense solver is a debug path; use n <= 400")
+    return np.linalg.eigvals(to_dense(opr))
 
 
 def energy_sorted(spectrum: Spectrum) -> list:

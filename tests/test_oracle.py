@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import ECKART_FIXTURE, PT_FIXTURE, free_particle_eigenvalue
+from helpers import ECKART_FIXTURE, PT_FIXTURE, dense_eigenvalues, free_particle_eigenvalue, to_dense
 from ptspec import cli, oracle
 from ptspec.contour import ArchContour, ShiftedLine
 from ptspec.errors import NoConvergence, SingularPotentialOnGrid
@@ -20,7 +20,6 @@ from ptspec.oracle import (
     TridiagonalOperator,
     _rayleigh,
     convergence_study,
-    dense_eigenvalues,
     discretize,
     match_levels,
     residual_floor,
@@ -74,7 +73,7 @@ def test_matvec_agrees_with_dense_form():
     opr = discretize(ECKART_FIXTURE, LINE, g)
     rng = np.random.default_rng(DEFAULT_SEED)
     x = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    assert np.allclose(opr.matvec(x), opr.to_dense() @ x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(opr.matvec(x), to_dense(opr) @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_discretize_guards():
@@ -221,6 +220,81 @@ def test_stopping_rule_scales_with_the_operator():
     assert iters_big == iters
     assert e_big == e * s
     assert residual_floor(big) == residual_floor(opr) * s
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of a complex number or array."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.float64).tobytes()
+
+
+def _old_matvec(opr, x):
+    """H x by the array expressions that build the product in fresh temporaries."""
+    y = opr.diag * x
+    y[:-1] += opr.offdiag * x[1:]
+    y[1:] += opr.offdiag * x[:-1]
+    return y
+
+
+@pytest.mark.parametrize("n", [3, 1500, 48000])
+def test_matvec_into_buffers_is_bitwise_the_array_product(n):
+    # from 256 KiB (n >= 16384) numpy may elide temporaries with the operands
+    # swapped, which moves last bits; the buffered product must not
+    opr = discretize(PT_FIXTURE, LINE, GridSpec(L=12.0, n=n))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = _bits(_old_matvec(opr, x))
+    out, work = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    assert opr.matvec(x, out, work) is out
+    assert _bits(out) == want
+    assert _bits(opr.matvec(x)) == want
+    assert oracle._norm(x.real, x.imag) == np.linalg.norm(x)
+
+
+def test_start_vector_per_seed_gives_a_fresh_operators_result():
+    grid = GridSpec(L=12.0, n=1500)
+    level = pt_levels(PT_FIXTURE).levels[1]
+    held = discretize(PT_FIXTURE, LINE, grid)
+    for seed in (DEFAULT_SEED, 12345, DEFAULT_SEED):
+        fresh = discretize(PT_FIXTURE, LINE, grid)
+        e_held, it_held = shift_invert_eigen(held, level.energy, seed=seed)
+        e_fresh, it_fresh = shift_invert_eigen(fresh, level.energy, seed=seed)
+        assert (_bits(e_held), it_held) == (_bits(e_fresh), it_fresh)
+
+
+def test_start_vector_is_read_only_and_survives_match_levels():
+    opr = discretize(PT_FIXTURE, LINE, GridSpec(L=12.0, n=1500))
+    start = opr.start_vector(DEFAULT_SEED)
+    rng = np.random.default_rng(DEFAULT_SEED)
+    drawn = rng.standard_normal(1500) + 1j * rng.standard_normal(1500)
+    drawn /= np.linalg.norm(drawn)
+    assert _bits(start) == _bits(drawn)
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0] = 0.0
+    assert match_levels(pt_levels(PT_FIXTURE), opr, tol=1e-2)["all_passed"]
+    assert opr.start_vector(DEFAULT_SEED) is start
+    assert _bits(start) == _bits(drawn)
+
+
+def test_match_levels_draws_once_and_forms_the_floor_once(monkeypatch):
+    calls = {"default_rng": 0, "residual_floor": 0, "shift_invert_eigen": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(np.random, "default_rng")
+    counted(oracle, "residual_floor")
+    counted(oracle, "shift_invert_eigen")  # match_levels solves through the module global
+    spectrum = pt_levels(PT_FIXTURE)
+    rep = match_levels(spectrum, discretize(PT_FIXTURE, LINE, GridSpec(L=12.0, n=1500)), tol=1e-2)
+    assert len(rep["levels"]) == len(spectrum.levels) == 4
+    assert calls == {"default_rng": 1, "residual_floor": 1, "shift_invert_eigen": 4}
 
 
 def test_rayleigh_quotient_isotropic_fallback():

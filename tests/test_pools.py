@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from ptspec.spectra import spectrum_of
 from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 #: exit codes of the fd-grid pool's entries, strata in sorted order: 111 pass (0),
 #: 79 fail a level (1) and 2 are refused (2)
@@ -51,6 +54,28 @@ FD_GRID_CODES = (
 #: may move the last digits of a report
 FD_GRID_DIGEST = "05919e2dceaf88930bc057061b212393faed5104e7d7d878995d910f8414731d"
 CLI_COLD_FD_DIGEST = "744c6e5dacaaf42138acecc337ef6bdc79553f4bc34ab4f7a210c684ca63b36b"
+
+#: SHA-256 over ``b"%d\n" % code + stdout`` of the fd-grid workload's 8 fixture reports
+#: (Eckart (3.5, 1), then PT (4.3, 1.7, 0.5), at n = 1500, 6000, 24000, 48000 with L = 12 and
+#: no PTSPEC_SEED), recorded as FD_GRID_DIGEST was, with one BLAS thread as ``bench/run.py``
+#: runs them: on the n >= 24000 grids OpenBLAS splits the norms' and Rayleigh quotients'
+#: dot products across its threads, and the split moves last digits
+FD_FIXTURE_DIGEST = "9905dbdf39264dda141e5cee1f0054562fa673527266f89bed59b45cf61a3d07"
+FD_FIXTURES = (
+    ("--model", "eckart", "--A", "3.5", "--beta", "1.0"),
+    ("--model", "pt", "--alpha", "4.3", "--beta", "1.7", "--eps", "0.5"),
+)
+
+#: prints ``b"%d\n" % code + stdout`` of ``cli.run`` for each argv in the JSON list argv[1]
+_REPORTS_CHILD = """
+import contextlib, io, json, sys
+from ptspec.cli import run
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    sys.stdout.buffer.write(b"%d\\n" % code + out.getvalue().encode())
+"""
 
 
 def _pool(name: str) -> dict:
@@ -92,6 +117,24 @@ def test_fd_pool_entries_keep_their_exit_codes(name, codes, digest, capsys, monk
     replies = [_replay(e, monkeypatch, capsys) for e in entries]
     assert "".join(str(code) for code, _ in replies) == codes
     assert hashlib.sha256(b"".join(b"%d\n" % code + out for code, out in replies)).hexdigest() == digest
+
+
+def test_fd_fixture_reports_keep_their_bytes_on_fine_grids():
+    """From n = 16384 (256 KiB) on, numpy may compute an expression in place of a
+    temporary with the operands swapped, so these grids pin what n = 1500 cannot."""
+    argvs = [
+        ["verify", *model, "--method", "fd", "--grid-n", str(n), "--grid-L", "12"]
+        for n in (1500, 6000, 24000, 48000)
+        for model in FD_FIXTURES
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PTSPEC_SEED"}
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _REPORTS_CHILD, json.dumps(argvs)], env=env, capture_output=True, check=True
+    )
+    assert child.stdout.count(b"0\n{") == len(argvs)
+    assert hashlib.sha256(child.stdout).hexdigest() == FD_FIXTURE_DIGEST
 
 
 @pytest.fixture(scope="module")

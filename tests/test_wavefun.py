@@ -202,6 +202,24 @@ def test_arch_stencil_forms_sinh_once(monkeypatch, capsys):
     assert calls[19997] == 1
 
 
+def test_hulthen_eigenfunction_checks_its_level_once(monkeypatch, capsys):
+    """A Hulthen residual verify checks each level once: its own, not also the
+    Poschl-Teller partner level that ``pt_level`` has just built for it."""
+    import ptspec.wavefun as wavefun
+
+    checked = collections.Counter()
+    check_level = wavefun.check_level
+
+    def counted(model, level):
+        checked[type(model).__name__] += 1
+        return check_level(model, level)
+
+    monkeypatch.setattr(wavefun, "check_level", counted)
+    assert run(["verify", "--model", "hulthen", "--alpha", "1.7491", "--C", "-20.8404", "--method", "residual"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == 3
+    assert checked == {"HulthenParams": 3}
+
+
 def _harmonic_residual(h: float, noise: float = 0.0) -> float:
     line = ShiftedLine(0.7)
     t = uniform_grid(4.0, h)
