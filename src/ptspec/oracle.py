@@ -20,8 +20,10 @@ What does not depend on the level is formed once per operator: the stopping
 floor, and the seeded unit start vector (2n standard normals), which is drawn
 once per operator and seed and held read-only; each level copies it into its
 right-hand side.  A step makes no temporary vector: H y and the residual
-H y - e y are written into two buffers per level, with the operands and order
-of the plain array expressions, so every report keeps the bits it had.
+H y - e y are written into two buffers per level with the operands and order
+of the plain array expressions, whose bits they keep, and each norm is
+``np.linalg.norm``'s two real dot products and square root without its
+dispatch.
 
 The tridiagonal LU (zgttrf) and solve (zgttrs) come from the LAPACK that numpy
 already loads: numpy's wheels bundle an OpenBLAS with 64-bit integers
@@ -93,12 +95,11 @@ class TridiagonalOperator:
     grid: GridSpec
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-        """H x, written into ``out``; ``work`` holds the off-diagonal products.
+        """H x, written into ``out``; ``work`` takes the off-diagonal products.
 
-        Both are complex n-vectors, new ones when not given.  The products and
-        sums are those of ``diag * x`` with the two off-diagonal bands added in
-        place, in that order and with the same operands, so the bits do not
-        depend on whether buffers are passed.
+        Both are complex n-vectors, new ones when not given.  The operands and
+        their order are those of ``diag * x`` with each band's product added in
+        place, so the bits do not depend on whether buffers are passed.
         """
         n = len(self.diag)
         if out is None:
@@ -119,14 +120,18 @@ class TridiagonalOperator:
         return residual_floor(self)
 
     def start_vector(self, seed: int) -> np.ndarray:
-        """The seeded unit start vector of inverse iteration, read-only.
+        """The seeded unit start vector of inverse iteration (2n standard normals), read-only.
 
         The vector of the last seed asked for is held, so the levels of one
         report share one draw; another seed draws again.
         """
         held = self.__dict__.get("_start")
         if held is None or held[0] != seed:
-            held = (seed, _start_vector(len(self.diag), seed))
+            n, rng = len(self.diag), np.random.default_rng(seed)
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x /= np.linalg.norm(x)
+            x.flags.writeable = False
+            held = (seed, x)
             object.__setattr__(self, "_start", held)  # a cache, not a field
         return held[1]
 
@@ -158,15 +163,6 @@ def residual_floor(opr: TridiagonalOperator) -> float:
     """Backward-error bound RESIDUAL_FACTOR * eps * ||H|| that stops the iteration."""
     norm_h = float(np.max(np.abs(opr.diag))) + 2.0 * abs(opr.offdiag)
     return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
-
-
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    """Unit complex n-vector of standard normals drawn from ``seed``, read-only."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    x.flags.writeable = False
-    return x
 
 
 def _norm(re: np.ndarray, im: np.ndarray) -> float:
