@@ -26,15 +26,14 @@ of the plain array expressions, whose bits they keep, and each norm is
 dispatch.
 
 The tridiagonal LU (zgttrf) and solve (zgttrs) come from the LAPACK that numpy
-already loads: numpy's wheels bundle an OpenBLAS with 64-bit integers
-(scipy-openblas, USE64BITINT), and a ctypes binding to its
-``LAPACKE_zgttrf_work``/``LAPACKE_zgttrs_work`` entry points costs nothing to
-import.  The ``_work`` variants are used because the plain LAPACKE wrappers
-scan every band and the right-hand side for NaNs on every call, which makes
-each solve about a third slower.  Where numpy carries no such library (conda
-and MKL builds, source builds, 32-bit-integer builds) or it lacks a symbol,
-the same two routines come from ``scipy.linalg.lapack``; scipy is needed only
-there.
+already loads: numpy's wheels bundle an OpenBLAS with 64-bit integers, and a
+ctypes binding to its ``LAPACKE_zgttrf_work``/``LAPACKE_zgttrs_work`` entry
+points costs nothing to import.  The ``_work`` variants are used because the
+plain LAPACKE wrappers scan every band and the right-hand side for NaNs on
+every call, which makes each solve about a third slower.  Where numpy carries
+no such library (conda and MKL builds, source builds, 32-bit-integer builds)
+or it lacks a symbol, the same two routines come from ``scipy.linalg.lapack``;
+scipy is needed only there.  Either way the LU ends in its own solve step.
 """
 
 from __future__ import annotations
@@ -116,8 +115,9 @@ class TridiagonalOperator:
 
     @functools.cached_property
     def floor(self) -> float:
-        """``residual_floor`` of this operator, formed on first use."""
-        return residual_floor(self)
+        """Backward-error bound RESIDUAL_FACTOR * eps * ||H|| that stops the iteration, formed on first use."""
+        norm_h = float(np.max(np.abs(self.diag))) + 2.0 * abs(self.offdiag)
+        return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
 
     def start_vector(self, seed: int) -> np.ndarray:
         """The seeded unit start vector of inverse iteration (2n standard normals), read-only.
@@ -159,12 +159,6 @@ def _rayleigh(x: np.ndarray, hx: np.ndarray) -> complex:
     return complex((xc @ hx) / (xc @ x))
 
 
-def residual_floor(opr: TridiagonalOperator) -> float:
-    """Backward-error bound RESIDUAL_FACTOR * eps * ||H|| that stops the iteration."""
-    norm_h = float(np.max(np.abs(opr.diag))) + 2.0 * abs(opr.offdiag)
-    return RESIDUAL_FACTOR * np.finfo(float).eps * norm_h
-
-
 def _norm(re: np.ndarray, im: np.ndarray) -> float:
     """The 2-norm of a complex vector from its real and imaginary views, formed
     as ``np.linalg.norm`` forms it: two real dots, their sum, one square root."""
@@ -172,17 +166,12 @@ def _norm(re: np.ndarray, im: np.ndarray) -> float:
 
 
 def _numpy_lapack():
-    """(factor, solve) bound to numpy's bundled ILP64 OpenBLAS, or None.
+    """``factor`` bound to numpy's bundled ILP64 OpenBLAS, or None.
 
-    Takes numpy's word for what it was built with: only a scipy-openblas
-    LAPACK with 64-bit integers has the ``scipy_…64_`` symbols bound here.
+    The library is its own evidence: a ``*scipy_openblas64_*`` file in numpy's
+    ``numpy.libs/`` or ``.dylibs/`` that exports ``scipy_LAPACKE_zgttr{f,s}_work64_``
+    is the 64-bit-integer build.
     """
-    try:
-        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    except (TypeError, KeyError):  # numpy before 1.25 reports no build facts
-        return None
-    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get("openblas configuration", ""):
-        return None
     root = Path(np.__file__).parent  # numpy.libs/ next to it on Linux and Windows, .dylibs/ in it on macOS
     paths = sorted([*root.parent.glob("numpy.libs/*scipy_openblas64_*"), *root.glob(".dylibs/*scipy_openblas64_*")])
     try:
@@ -198,8 +187,8 @@ def _numpy_lapack():
     trs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64]
     # arguments made once: ctypes converts a Python int on every call
     col_major, no_trans, one = ctypes.c_int(102), ctypes.c_char(b"N"), i64(1)  # 102: LAPACK_COL_MAJOR
-    # a zero-length ctypes array over an ndarray's memory: its address is the
-    # data pointer, got at half the cost of .ctypes.data, and making it refuses
+    # each pointer is a zero-length ctypes array over an ndarray's memory: it
+    # passes as the data pointer, keeps the array alive, and making it refuses
     # a non-contiguous or read-only array
     view = (ctypes.c_char * 0).from_buffer
 
@@ -208,28 +197,22 @@ def _numpy_lapack():
         if not (dl.dtype == d.dtype == du.dtype == b.dtype == complex and len(dl) == len(du) == n - 1 == len(b) - 1):
             raise ValueError("zgttrf/zgttrs take complex128 arrays of n - 1, n, n - 1 and n")
         arrays = (dl, d, du, np.empty(max(n - 2, 0), dtype=complex), np.empty(n, dtype=np.int64), b)
-        ptrs = [ptr(ctypes.addressof(view(a))) for a in arrays]  # once here, not on every solve
-        info = trf(i64(n), *ptrs[:5])
-        return (*arrays, functools.partial(trs, col_major, no_trans, i64(n), one, *ptrs, i64(n))), info
+        views = [view(a) for a in arrays]
+        info = trf(i64(n), *views[:5])
+        return (*arrays, functools.partial(trs, col_major, no_trans, i64(n), one, *views, i64(n))), info
 
-    def solve(lu):
-        lu[-1]()
-
-    return factor, solve
+    return factor
 
 
 def _scipy_lapack():
-    """(factor, solve) from scipy.linalg.lapack, for numpy builds without the library."""
+    """``factor`` from scipy.linalg.lapack, for numpy builds without the library."""
     from scipy.linalg.lapack import zgttrf, zgttrs
 
     def factor(dl, d, du, b):
         *lu, info = zgttrf(dl, d, du, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-        return (*lu, b), info
+        return (*lu, b, functools.partial(zgttrs, *lu, b, overwrite_b=True)), info
 
-    def solve(lu):
-        zgttrs(*lu, overwrite_b=True)
-
-    return factor, solve
+    return factor
 
 
 @functools.cache
@@ -237,10 +220,10 @@ def _tridiagonal_lapack():
     """LAPACK's complex tridiagonal LU and solve, bound on the first call.
 
     ``factor(dl, d, du, b) -> (lu, info)`` overwrites the sub-, main and
-    super-diagonal with the factors (info > 0: the matrix is singular); lu
-    starts (dl, d, du, du2, ipiv, b), with LAPACK's 1-based pivots.
-    ``solve(lu)`` overwrites b with the solution, every time into the same
-    buffer.  All four arrays are 1-d, contiguous and complex128.
+    super-diagonal with the factors (info > 0: the matrix is singular).  lu is
+    (dl, d, du, du2, ipiv, b, solve), with LAPACK's 1-based pivots, and ends
+    in its solve step: ``lu[-1]()`` overwrites b with the solution, every time
+    into the same buffer.  All four arrays are 1-d, contiguous and complex128.
     """
     return _numpy_lapack() or _scipy_lapack()
 
@@ -259,12 +242,12 @@ def shift_invert_eigen(
     Rayleigh quotient of each normalized iterate y, from a copy of the
     operator's ``start_vector(seed)``.  The iteration stops at the first step
     it >= 2 with ||H y - e y|| <= c * eps * ||H||, where c = RESIDUAL_FACTOR =
-    4096 and ||H|| = max|diag| + 2 |offdiag| (the operator's ``floor``, see
-    residual_floor), and raises NoConvergence after max_iter steps.  A
-    singular factorization retries with the shift perturbed by 1e-8 (1 + i),
-    at most three attempts in all.
+    4096 and ||H|| = max|diag| + 2 |offdiag| (the operator's ``floor``), and
+    raises NoConvergence after max_iter steps.  A singular factorization
+    retries with the shift perturbed by 1e-8 (1 + i), at most three attempts
+    in all.
     """
-    factor, solve = _tridiagonal_lapack()
+    factor = _tridiagonal_lapack()
     n = len(opr.diag)
     floor = opr.floor
     # H y and then the residual go to hy, the off-diagonal and e y products to work
@@ -280,7 +263,7 @@ def shift_invert_eigen(
             work_shift += 1e-8 * (1.0 + 1.0j)
             continue
         for it in range(1, max_iter + 1):
-            solve(lu)
+            lu[-1]()
             y /= _norm(y_re, y_im)
             if it < 2:  # the stop test waits for step 2, so step 1's residual goes unread
                 continue

@@ -13,7 +13,7 @@ import scipy.linalg
 from helpers import ECKART_FIXTURE, PT_FIXTURE, dense_eigenvalues, free_particle_eigenvalue, to_dense
 from ptspec import cli, oracle
 from ptspec.contour import ArchContour, ShiftedLine
-from ptspec.errors import NoConvergence, SingularPotentialOnGrid
+from ptspec.errors import LUBreakdown, NoConvergence, SingularPotentialOnGrid
 from ptspec.oracle import (
     DEFAULT_SEED,
     GridSpec,
@@ -22,7 +22,6 @@ from ptspec.oracle import (
     convergence_study,
     discretize,
     match_levels,
-    residual_floor,
     shift_invert_eigen,
 )
 from ptspec.models import PTParams
@@ -130,7 +129,7 @@ def test_singular_shift_retries_with_perturbation():
 
 @pytest.fixture(params=["numpy", "scipy"])
 def lapack(request):
-    """Each (factor, solve) backend this platform has."""
+    """The ``factor`` of each backend this platform has."""
     if request.param == "scipy":
         pytest.importorskip("scipy")
         return oracle._scipy_lapack()
@@ -146,14 +145,14 @@ def test_tridiagonal_lapack_solves_like_dense(lapack, request, n, diag_scale):
     # the bands makes most rows swap, whose pivots a mistyped ipiv would garble
     if n == 2 and request.node.callspec.params["lapack"] == "scipy":
         pytest.skip("scipy's zgttrf wrapper refuses n = 2")
-    factor, solve = lapack
+    factor = lapack
     rng = np.random.default_rng(n)
     dl, d, du, b = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (n - 1, n, n - 1, n))
     d *= diag_scale
     want = np.linalg.solve(np.diag(d) + np.diag(dl, -1) + np.diag(du, 1), b)
     lu, info = factor(dl.copy(), d.copy(), du.copy(), b)
     assert info == 0
-    solve(lu)
+    lu[-1]()
     assert np.allclose(b, want, rtol=1e-10, atol=0.0)
     steps = lu[4] - np.arange(1, n + 1)  # row i swaps with row i + 1, or not at all
     assert set(steps[:-1]) <= {0, 1} and steps[-1] == 0
@@ -162,10 +161,9 @@ def test_tridiagonal_lapack_solves_like_dense(lapack, request, n, diag_scale):
 
 
 def test_numpy_lapack_refuses_arrays_it_cannot_pass_as_pointers():
-    backend = oracle._numpy_lapack()
-    if backend is None:
+    factor = oracle._numpy_lapack()
+    if factor is None:
         pytest.skip("numpy bundles no ILP64 scipy-openblas here")
-    factor, _ = backend
     bands = (np.ones(9, dtype=complex), np.full(10, 4.0 + 0j), np.ones(9, dtype=complex))
     with pytest.raises(ValueError):
         factor(*bands, np.ones(10))  # float64 right-hand side
@@ -176,10 +174,40 @@ def test_numpy_lapack_refuses_arrays_it_cannot_pass_as_pointers():
 
 
 def test_tridiagonal_lapack_reports_a_singular_matrix(lapack):
-    factor, _ = lapack
     zeros = np.zeros(49, dtype=complex)
-    _, info = factor(zeros.copy(), np.zeros(50, dtype=complex), zeros, np.ones(50, dtype=complex))
+    _, info = lapack(zeros.copy(), np.zeros(50, dtype=complex), zeros, np.ones(50, dtype=complex))
     assert info > 0
+
+
+def test_three_singular_factorizations_raise_lu_breakdown(lapack, monkeypatch):
+    # with no off-diagonal, each attempt's shift (s, then twice perturbed by
+    # 1e-8 (1 + i)) zeroes one diagonal entry of H - shift
+    shifts = [2.5 + 0j]
+    for _ in range(2):
+        shifts.append(shifts[-1] + 1e-8 * (1.0 + 1.0j))
+    opr = TridiagonalOperator(diag=np.array([*shifts, 7.0, 9.0]), offdiag=0j, grid=GridSpec(L=1.0, n=5))
+    monkeypatch.setattr(oracle, "_tridiagonal_lapack", lambda: lapack)
+    with pytest.raises(LUBreakdown):
+        shift_invert_eigen(opr, shifts[0])
+
+
+@pytest.mark.parametrize("build_report", ["raises", "other-lapack"])
+def test_numpy_lapack_binds_by_the_library_file_and_its_symbols(build_report, monkeypatch):
+    if oracle._numpy_lapack() is None:
+        pytest.skip("numpy bundles no ILP64 scipy-openblas here")
+
+    def show_config(mode="stdout"):
+        if build_report == "raises":
+            raise RuntimeError("no build report")
+        return {"Build Dependencies": {"lapack": {"name": "mkl"}}}
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    factor = oracle._numpy_lapack()
+    assert factor is not None
+    b = np.ones(3, dtype=complex)
+    lu, info = factor(np.zeros(2, dtype=complex), np.full(3, 2.0 + 0j), np.zeros(2, dtype=complex), b)
+    lu[-1]()
+    assert info == 0 and np.array_equal(b, np.full(3, 0.5 + 0j))
 
 
 @pytest.mark.parametrize(
@@ -219,7 +247,7 @@ def test_stopping_rule_scales_with_the_operator():
     e_big, iters_big = shift_invert_eigen(big, target * s)
     assert iters_big == iters
     assert e_big == e * s
-    assert residual_floor(big) == residual_floor(opr) * s
+    assert big.floor == opr.floor * s
 
 
 def _bits(values) -> bytes:
@@ -277,24 +305,24 @@ def test_start_vector_is_read_only_and_survives_match_levels():
 
 
 def test_match_levels_draws_once_and_forms_the_floor_once(monkeypatch):
-    calls = {"default_rng": 0, "residual_floor": 0, "shift_invert_eigen": 0}
+    calls = {"default_rng": 0, "floor": 0, "shift_invert_eigen": 0}
 
-    def counted(owner, name):
+    def counted(owner, name, key=None):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(np.random, "default_rng")
-    counted(oracle, "residual_floor")
+    counted(vars(TridiagonalOperator)["floor"], "func", key="floor")  # the cached property's body
     counted(oracle, "shift_invert_eigen")  # match_levels solves through the module global
     spectrum = pt_levels(PT_FIXTURE)
     rep = match_levels(spectrum, discretize(PT_FIXTURE, LINE, GridSpec(L=12.0, n=1500)), tol=1e-2)
     assert len(rep["levels"]) == len(spectrum.levels) == 4
-    assert calls == {"default_rng": 1, "residual_floor": 1, "shift_invert_eigen": 4}
+    assert calls == {"default_rng": 1, "floor": 1, "shift_invert_eigen": 4}
 
 
 def test_rayleigh_quotient_isotropic_fallback():
@@ -409,7 +437,7 @@ def test_fine_grid_fixtures_converge_in_few_steps(n):
         opr = discretize(params, LINE, grid)
         rep = match_levels(levels(params), opr, tol=1e-2)
         assert rep["all_passed"]
-        floor = residual_floor(opr)
+        floor = opr.floor
         for c in rep["levels"]:
             assert c["iterations"] <= 4
             assert _backward_error(opr, complex(*c["energy_numeric"])) <= floor

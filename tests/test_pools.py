@@ -10,6 +10,10 @@
   counts; the pools record no digest for FD reports, so one SHA-256 over all
   of them is pinned here.  (The export pool's ``sample-*`` strata take about
   half a minute in process, so they are replayed by hand, not here.)
+* Two passes in one process: a benchmark run warms up and replays pass after
+  pass with one BLAS thread, so the fd-grid and residual-scan passes of seed 1
+  are replayed twice that way and must agree with each other and with the
+  failed share the pinned exit codes give.
 * The tracing table: every ``(module, function)`` that ``bench/tracing.py``
   wraps must exist, and the arguments its facts read by position must still
   be the points arguments.  A renamed or reordered function would otherwise
@@ -77,6 +81,33 @@ for argv in json.loads(sys.argv[1]):
     sys.stdout.buffer.write(b"%d\\n" % code + out.getvalue().encode())
 """
 
+#: runs the warm-up of the fd-grid and residual-scan workloads of seed 1 (``bench/workloads.build``,
+#: with ``bench/`` given as argv[1]), then replays each request list twice through ``cli.run`` and
+#: prints, per workload and pass, each request's exit code and output digest and the failed and
+#: wrong verdicts of ``bench/execute.check``
+_TWO_PASSES_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from execute import check, run_in_process
+from workloads import build, output_digest
+from ptspec.cli import run
+result = {}
+for name in ("fd-grid", "residual-scan"):
+    wl = build(name, 1)
+    assert not check(wl.warmup, run_in_process(run, wl.warmup)).failed
+    passes = []
+    for _ in range(2):
+        outs = [run_in_process(run, req) for req in wl.requests]
+        verdicts = [check(req, out) for req, out in zip(wl.requests, outs)]
+        passes.append({
+            "outputs": [[out.code, output_digest(out.code, out.stdout)] for out in outs],
+            "failed": sum(v.failed for v in verdicts),
+            "wrong": [v.reason for v in verdicts if v.wrong],
+        })
+    result[name] = {"requests": len(wl.requests), "passes": passes}
+print(json.dumps(result))
+"""
+
 
 def _pool(name: str) -> dict:
     return json.loads((BENCH / "pools" / f"{name}.json").read_text())
@@ -127,14 +158,30 @@ def test_fd_fixture_reports_keep_their_bytes_on_fine_grids():
         for n in (1500, 6000, 24000, 48000)
         for model in FD_FIXTURES
     ]
+    child = _one_blas_thread_child(_REPORTS_CHILD, json.dumps(argvs))
+    assert child.stdout.count(b"0\n{") == len(argvs)
+    assert hashlib.sha256(child.stdout).hexdigest() == FD_FIXTURE_DIGEST
+
+
+def test_two_benchmark_passes_in_one_process_agree_with_the_pinned_failures():
+    """A benchmark run, unlike a pool replay, warms up and then replays pass after pass in one
+    process with one BLAS thread; both passes must print the same bytes, request by request,
+    and fail the share that FD_GRID_CODES and the pool digests fix for seed 1."""
+    result = json.loads(_one_blas_thread_child(_TWO_PASSES_CHILD, str(BENCH)).stdout)
+    for name, failed, requests in (("fd-grid", 54, 136), ("residual-scan", 0, 14)):
+        first, second = result[name]["passes"]
+        assert result[name]["requests"] == requests
+        assert first["outputs"] == second["outputs"]
+        assert (first["failed"], second["failed"]) == (failed, failed)
+        assert first["wrong"] == second["wrong"] == []
+
+
+def _one_blas_thread_child(script: str, arg: str) -> subprocess.CompletedProcess:
+    """``python -c script arg`` with ptspec from src/, one BLAS thread and no PTSPEC_SEED."""
     env = {k: v for k, v in os.environ.items() if k != "PTSPEC_SEED"}
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, "-c", _REPORTS_CHILD, json.dumps(argvs)], env=env, capture_output=True, check=True
-    )
-    assert child.stdout.count(b"0\n{") == len(argvs)
-    assert hashlib.sha256(child.stdout).hexdigest() == FD_FIXTURE_DIGEST
+    return subprocess.run([sys.executable, "-c", script, arg], env=env, capture_output=True, check=True)
 
 
 @pytest.fixture(scope="module")
