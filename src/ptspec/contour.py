@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (AsymmetricGrid, EpsilonOutOfRange, GridTooCoarse, SingularPoint, SingularPotentialOnGrid,
                      VanishingJacobian)
-from .specfun import complex_power_tracked, tracked_log
+from .specfun import complex_power_tracked, tracked_log, tracked_power
 
 _SINGULAR_TOL = 1e-12
 
@@ -105,7 +105,8 @@ class ArchContour:
 class Chart:
     """Contour points r with what the sinh/cosh potentials and shifted-line
     eigenfunctions derive from them: sinh r, cosh r, Eckart's z = (1 - coth r)/2,
-    -sinh^2 r and the branch-tracked logs of sinh r and cosh r.
+    -sinh^2 r, the branch-tracked logs of sinh r and cosh r and, through
+    ``power``, the last power taken of each log.
 
     sinh r and cosh r (or the caller's ``ch``) are computed on construction,
     the rest on first use and then kept, so a model pays only for what it
@@ -120,6 +121,7 @@ class Chart:
         self.r = np.atleast_1d(r)
         self.sh = np.sinh(self.r)
         self.ch = np.cosh(self.r) if ch is None else ch
+        self._held = {}
 
     def __len__(self) -> int:
         return len(self.r)
@@ -152,6 +154,21 @@ class Chart:
     @cached_property
     def log_ch(self) -> np.ndarray:
         return tracked_log(self.ch)
+
+    def power(self, which: str, exponent) -> np.ndarray:
+        """``tracked_power`` of ``log_sh`` or ``log_ch`` (``which`` is "sh" or "ch"), read-only.
+
+        The last power of each log is held, so the levels of one family, which come
+        one after another with the same exponent, share it.  One slot per log, not
+        one per exponent: a Hulthen report's exponents change with every level.
+        """
+        key = np.asarray(exponent, dtype=complex).tobytes()  # bit for bit: 0.0 and -0.0 differ
+        held = self._held.get(which)
+        if held is None or held[0] != key:
+            power = tracked_power(getattr(self, "log_" + which), exponent)
+            power.flags.writeable = False
+            self._held[which] = held = (key, power)
+        return held[1]
 
     def out(self, values: np.ndarray):
         """``values`` as the caller's points came in: a complex for a single point."""
@@ -303,9 +320,15 @@ class SampledContour:
 
     @cached_property
     def stencil(self) -> tuple:
-        """xi'^2, xi'', xi'^3 and the potential at the stencil centres t[2:-2]."""
+        """The potential at the stencil centres t[2:-2] and, on the arch, ``chain_rule``
+        there; None in its place on the line, whose xi' = 1 and xi'' = 0 make it the identity."""
+        chain = None if isinstance(self.contour, ShiftedLine) else self.chain_rule()
+        return self.v[2:-2], chain
+
+    def chain_rule(self) -> tuple:
+        """xi'^2, xi'', xi'^3 at the stencil centres t[2:-2]."""
         xp, xpp = self.contour.derivatives(self.t[2:-2])
-        return xp**2, xpp, xp**3, self.v[2:-2]
+        return xp**2, xpp, xp**3
 
 
 def _check_symmetric_grid(t: np.ndarray) -> None:

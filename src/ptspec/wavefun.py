@@ -15,6 +15,8 @@ chart; plain points get their own chart, and the same per-level code runs.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .contour import ArchChart, Chart, SampledContour
@@ -77,11 +79,7 @@ def _pt_psi_of_checked(p: PTParams, level: Level, r):
     """``pt_psi`` for a level that is already ``p``'s own, without checking it again."""
     chart = Chart.of(r, cosh_too=True)
     f = _series(level, chart.minus_sh2)
-    psi = (
-        tracked_power(chart.log_sh, level.tau * p.beta + 0.5)
-        * tracked_power(chart.log_ch, level.sigma * p.alpha + 0.5)
-        * f
-    )
+    psi = chart.power("sh", level.tau * p.beta + 0.5) * chart.power("ch", level.sigma * p.alpha + 0.5) * f
     return chart.out(psi)
 
 
@@ -135,24 +133,57 @@ def residual_check(samples: SampledContour, energy, psi) -> float:
     derivatives.  The residual at each interior point is scaled by the
     largest |psi| in the stencil window (floored at 1e-30), so tails do not
     produce false alarms and the check is normalization-free.
+
+    The value has the bits of the plain expression: the stencil sums divided by
+    12h and 12h^2, psi_xixi = d2 / xi'^2 - d1 xi'' / xi'^3, and -psi_xixi + (V - E) psi.
+    Where |psi| bounds d1 and d2 below overflow, it skips the passes that change no
+    bit: numpy divides a complex by a real s as by s + 0j, which multiplies both
+    parts by 1/s, so the sums are scaled in place; on the line, whose xi' = 1 and
+    xi'' = 0, psi_xixi is d2 itself up to the sign of a zero that ``abs`` drops, and
+    d1 is not formed.  Elsewhere the plain expression runs whole, because there the
+    division and the chain rule turn an infinite part into nan (inf * 0).
     """
     h = samples.h
     psi = np.asarray(psi, dtype=complex)
-
-    # five-point centered first and second t-derivatives on the interior
-    d1 = (psi[:-4] - 8.0 * psi[1:-3] + 8.0 * psi[3:-1] - psi[4:]) / (12.0 * h)
-    d2 = (-psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]) / (
-        12.0 * h**2
-    )
-    xp2, xpp, xp3, v = samples.stencil
-    psi_xixi = d2 / xp2 - d1 * xpp / xp3
-
-    res = np.abs(-psi_xixi + (v - energy) * psi[2:-2])
+    v, chain = samples.stencil
     a = np.abs(psi)
+
+    s1, s2 = 12.0 * h, 12.0 * h**2
+    # |d1| <= 18 max|psi| / s1 and |d2| <= 64 max|psi| / s2 (the stencils' weights), doubled for rounding
+    if 128.0 * float(a.max()) / min(s1, s2) >= sys.float_info.max:
+        psi_xixi = _chain_rule(_d1_sum(psi) / s1, _d2_sum(psi) / s2, chain or samples.chain_rule())
+    elif chain is None:
+        psi_xixi = _scaled(_d2_sum(psi), 1.0 / s2)
+    else:
+        psi_xixi = _chain_rule(_scaled(_d1_sum(psi), 1.0 / s1), _scaled(_d2_sum(psi), 1.0 / s2), chain)
+
+    res = np.abs((v - energy) * psi[2:-2] - psi_xixi)
     window = a[2:-2]
     for k in (0, 1, 3, 4):
         window = np.maximum(window, a[k : len(psi) - 4 + k])
     return float(np.max(res / np.maximum(window, 1e-30)))
+
+
+def _d1_sum(psi: np.ndarray) -> np.ndarray:
+    """12h psi_t at the interior points, by the centered five-point stencil."""
+    return psi[:-4] - 8.0 * psi[1:-3] + 8.0 * psi[3:-1] - psi[4:]
+
+
+def _d2_sum(psi: np.ndarray) -> np.ndarray:
+    """12h^2 psi_tt at the interior points, by the centered five-point stencil."""
+    return 16.0 * psi[1:-3] - psi[:-4] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
+
+
+def _scaled(values: np.ndarray, factor: float) -> np.ndarray:
+    """``values`` with both parts multiplied by the real ``factor``, in place."""
+    np.multiply(values.view(float), factor, out=values.view(float))
+    return values
+
+
+def _chain_rule(d1: np.ndarray, d2: np.ndarray, chain: tuple) -> np.ndarray:
+    """psi_xixi from the t-derivatives d1, d2 and xi'^2, xi'', xi'^3."""
+    xp2, xpp, xp3 = chain
+    return d2 / xp2 - d1 * xpp / xp3
 
 
 def level_samples(model, level: Level, contour, t) -> tuple:

@@ -134,3 +134,20 @@ def jacobi_explicit_highprec(n: int, alpha: complex, beta: complex, z: complex) 
             c2 /= mpmath.factorial(k)
             total += c1 * c2 * ((zz - 1) / 2) ** k * ((zz + 1) / 2) ** (n - k)
         return complex(total)
+
+
+def plain_residual(samples, energy, psi) -> float:
+    """``wavefun.residual_check`` as the plain expression: each stencil sum divided by
+    12h or 12h^2 and the chain rule d2 / xi'^2 - d1 xi'' / xi'^3 on every contour."""
+    h = samples.h
+    psi = np.asarray(psi, dtype=complex)
+    d1 = (psi[:-4] - 8.0 * psi[1:-3] + 8.0 * psi[3:-1] - psi[4:]) / (12.0 * h)
+    d2 = (-psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]) / (12.0 * h**2)
+    xp, xpp = samples.contour.derivatives(samples.t[2:-2])
+    psi_xixi = d2 / xp**2 - d1 * xpp / xp**3
+    res = np.abs(-psi_xixi + (samples.v[2:-2] - energy) * psi[2:-2])
+    a = np.abs(psi)
+    window = a[2:-2]
+    for k in (0, 1, 3, 4):
+        window = np.maximum(window, a[k : len(psi) - 4 + k])
+    return float(np.max(res / np.maximum(window, 1e-30)))

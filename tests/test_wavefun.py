@@ -6,21 +6,27 @@ import collections
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ECKART_FIXTURE, HULTHEN_FIXTURE, PT_FIXTURE, pochhammer, uniform_grid
-from ptspec.cli import run
-from ptspec.contour import ArchChart, ArchContour, ShiftedLine, liouville_derivatives, arch_point
-from ptspec.errors import GridTooCoarse, LevelMismatch, SingularPoint
-from ptspec.models import PTParams, potential_fn, v_eckart, v_hulthen, v_pt
+import ptspec.contour
+import ptspec.wavefun
+from helpers import (ECKART_FIXTURE, HULTHEN_FIXTURE, POOL_DOMAINS, PT_FIXTURE, plain_residual, pochhammer,
+                     uniform_grid)
+from ptspec.cli import RESIDUAL_H, run
+from ptspec.contour import ArchChart, ArchContour, Chart, ShiftedLine, liouville_derivatives, arch_point
+from ptspec.errors import GridTooCoarse, LevelMismatch, PtspecError, SingularPoint
+from ptspec.models import MODELS, PTParams, model_kind, potential_fn, v_eckart, v_hulthen, v_pt
 from ptspec.specfun import (
     complex_power_tracked,
     gauss2f1_terminating,
     jacobi_poly,
 )
-from ptspec.spectra import eckart_levels, hulthen_levels, pt_levels
+from ptspec.spectra import eckart_levels, hulthen_levels, pt_levels, spectrum_of
 from ptspec.wavefun import (
     eckart_psi,
     eckart_psi_second_branch,
@@ -256,6 +262,139 @@ def test_residual_grid_validation():
     xi = line.point(t)
     with pytest.raises(GridTooCoarse):
         residual_check(SampledContour(line, t, lambda c: c.r**2), 1.0, np.exp(-(xi**2) / 2))
+
+
+def _same(got: float, want: float) -> bool:
+    """Equal floats, with nan matching nan."""
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+def _report_samples(model, eps: float = 0.5) -> SampledContour:
+    """The SampledContour a ``verify --method residual`` report of ``model`` builds."""
+    kind = model_kind(model)
+    window = kind.residual_window
+    return SampledContour(kind.contour(eps, window), np.arange(-window, window + RESIDUAL_H / 2, RESIDUAL_H),
+                          potential_fn(model))
+
+
+@pytest.mark.parametrize("model", [ECKART_FIXTURE, PT_FIXTURE, HULTHEN_FIXTURE], ids=["eckart", "pt", "hulthen"])
+def test_residual_check_has_the_bits_of_the_plain_expression(model):
+    samples = _report_samples(model)
+    for lv in spectrum_of(model).levels:
+        _, _, psi = level_samples(model, lv, samples.contour, samples)
+        assert residual_check(samples, lv.energy, psi) == plain_residual(samples, lv.energy, psi), lv
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(POOL_DOMAINS)), st.floats(0.2, 1.2, exclude_max=True), st.data())
+def test_residual_check_has_the_plain_bits_over_the_pool_domains(name, eps, data):
+    (a_lo, a_hi, a_open), (b_lo, b_hi, b_open) = POOL_DOMAINS[name]
+    a = data.draw(st.floats(a_lo, a_hi, exclude_min=a_open, exclude_max=True))
+    b = data.draw(st.floats(b_lo, b_hi, exclude_min=b_open, exclude_max=True))
+    model = MODELS[name].build(a, b, eps)
+    samples = _report_samples(model, eps)
+    for lv in spectrum_of(model).levels:
+        try:
+            _, _, psi = level_samples(model, lv, samples.contour, samples)
+        except PtspecError:  # refused by name before any residual is formed
+            continue
+        assert _same(residual_check(samples, lv.energy, psi), plain_residual(samples, lv.energy, psi)), lv
+
+
+def test_residual_check_keeps_the_plain_bits_where_psi_holds_signed_zeros():
+    for model in (PT_FIXTURE, HULTHEN_FIXTURE):
+        samples = _report_samples(model)
+        lv = spectrum_of(model).levels[0]
+        psi = level_samples(model, lv, samples.contour, samples)[2].copy()
+        psi[::7] = complex(-0.0, 0.0)
+        psi[3::11] = complex(0.0, -0.0)
+        psi[5::13] = complex(-0.0, -0.0)
+        psi[:40] = 0.0
+        assert residual_check(samples, lv.energy, psi) == plain_residual(samples, lv.energy, psi)
+
+
+@pytest.mark.parametrize("top", [1e305, 1e307, 1e308])
+def test_residual_check_keeps_the_plain_nan_where_a_line_derivative_overflows(top):
+    """Scaled up to ``top``, a line eigenfunction's d1 or d2 overflows, and the plain chain rule
+    turns inf * 0 into nan where d2 alone would give inf (PT's first levels at 1e307)."""
+    for model in (ECKART_FIXTURE, PT_FIXTURE):
+        samples = _report_samples(model)
+        for lv in spectrum_of(model).levels:
+            psi = level_samples(model, lv, samples.contour, samples)[2]
+            with np.errstate(all="ignore"):
+                psi = psi / np.abs(psi).max() * top
+                got, want = residual_check(samples, lv.energy, psi), plain_residual(samples, lv.energy, psi)
+            assert _same(got, want), (lv, got, want)
+
+
+# ---- one prefactor per family ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, levels, powers",
+    [
+        pytest.param(["--model", "pt", "--alpha", "3.3555", "--beta", "5.3502", "--eps", "0.9256"], 5, 3, id="pt"),
+        pytest.param(["--model", "pt", "--alpha", "4.3", "--beta", "1.7", "--eps", "0.5"], 4, 3, id="pt-fixture"),
+        pytest.param(["--model", "hulthen", "--alpha", "1.7491", "--C", "-20.8404"], 3, 5, id="hulthen"),
+        pytest.param(["--model", "eckart", "--A", "5.8198", "--beta", "0.1275"], 5, 5, id="eckart"),
+    ],
+)
+def test_a_residual_report_takes_each_family_prefactor_once(argv, levels, powers, monkeypatch, capsys):
+    """Levels come grouped by family, and a chart holds the last power of each log: PT takes
+    one power of sinh and one of cosh per family, not two per level; Hulthen's beta_eff and so
+    its sinh power change with every level; Eckart's exponent changes with N."""
+    calls = []
+    for module in (ptspec.contour, ptspec.wavefun):
+        power = module.tracked_power
+        monkeypatch.setattr(module, "tracked_power", lambda log, e, f=power: calls.append(e) or f(log, e))
+    assert run(["verify", *argv, "--method", "residual"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["levels"]) == levels
+    assert len(calls) == powers
+
+
+def test_a_held_power_is_read_only_and_one_per_log():
+    chart = Chart(LINE.point(np.linspace(-3.0, 3.0, 61)))
+    sh = chart.power("sh", 1.5)
+    assert chart.power("sh", 1.5) is sh and not sh.flags.writeable
+    with pytest.raises(ValueError):
+        sh *= 2.0
+    ch = chart.power("ch", 1.5)
+    assert ch is not sh and chart.power("sh", 1.5) is sh
+    assert chart.power("sh", 2.5) is not sh and chart.power("sh", 1.5) is not sh
+
+
+def test_pt_psi_on_a_shared_large_chart_has_the_bits_of_a_fresh_chart():
+    """From 256 KiB on numpy computes a product in place of a temporary; a held power is
+    never one, so a level read twice from one 1e5-point chart gives a fresh chart's bits."""
+    r = LINE.point(np.linspace(-12.0, 12.0, 100_001))
+    shared = Chart(r)
+    for lv in [*pt_levels(PT_FIXTURE).levels, *pt_levels(PT_FIXTURE).levels]:
+        got, want = pt_psi(PT_FIXTURE, lv, shared), pt_psi(PT_FIXTURE, lv, Chart(r))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), lv
+
+
+#: tracemalloc peak of one ``verify --method residual`` report before each family shared its
+#: prefactor, on the x86-64 host that recorded the pool digests with numpy 2.4.6
+_PARENT_PEAK_MIB = {"eckart": 4.04, "pt": 4.28, "hulthen": 7.03}
+
+
+@pytest.mark.parametrize(
+    "name, argv, extra",
+    [
+        ("eckart", ["--A", "3.5", "--beta", "1.0"], 0),
+        ("pt", ["--alpha", "4.3", "--beta", "1.7", "--eps", "0.5"], 0),
+        ("hulthen", ["--alpha", "1.7491", "--C", "-20.8404"], 2 * 20001 * 16),  # two held arch powers
+    ],
+)
+def test_a_residual_report_holds_no_more_memory_than_before(name, argv, extra, capsys):
+    tracemalloc.start()
+    try:
+        assert run(["verify", "--model", name, *argv, "--method", "residual"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= _PARENT_PEAK_MIB[name] * 2**20 + extra
 
 
 # ---- hulthen assembly ---------------------------------------------------------------
